@@ -50,9 +50,4 @@ from .network import (
     y_inverse,
     y_transform,
 )
-from .walkers import (
-    EnsembleStats,
-    WalkerEnsemble,
-    normalization_shift,
-    scale_invariance_corr,
-)
+from .walkers import EnsembleStats, WalkerEnsemble, scale_invariance_corr

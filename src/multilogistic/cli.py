@@ -8,8 +8,7 @@ subcommands require --seed and are byte-reproducible given it.
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure.
 
-Environment: MULTILOGISTIC_OUT sets the default output directory;
-MULTILOGISTIC_NUMBA=0 selects the pure-numpy kernel path.
+Environment: MULTILOGISTIC_OUT sets the default output directory.
 """
 
 import argparse
@@ -151,6 +150,10 @@ def cmd_sfin(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    if args.seed < 0:
+        raise InputDataError(f"seed must be non-negative, got {args.seed}")
+    if args.processes < 1:
+        raise InputDataError(f"processes must be at least 1, got {args.processes}")
     out = _out_dir(args)
     if args.edges:
         net = io.read_edges(args.edges)

@@ -68,14 +68,7 @@ def write_manifest(path, command, config, seed=None):
     import scipy
 
     from . import __version__
-    from .kernels import USING_NUMBA
 
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:  # pragma: no cover
-        numba_version = None
     payload = {
         "command": command,
         "config": config,
@@ -84,8 +77,6 @@ def write_manifest(path, command, config, seed=None):
             "multilogistic": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "numba": numba_version,
-            "kernel_backend": "numba" if USING_NUMBA else "numpy",
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

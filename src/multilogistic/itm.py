@@ -115,8 +115,10 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
     fixed across the step's internal stages.
     """
     chi = _as_unit_amplitude(chi0)
-    if not dt > 0.0:
-        raise InputDataError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise InputDataError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 <= t_end < np.inf:
+        raise InputDataError(f"t_end must be finite and non-negative, got {t_end}")
     n_steps = int(round(t_end / dt))
     times = dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, chi.size))

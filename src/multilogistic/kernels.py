@@ -1,47 +1,16 @@
-"""Hot inner loops, JIT-compiled with numba when available.
+"""Hot inner loops, one implementation each, in numpy or plain Python.
 
-Every kernel exists twice: a ``*_numba`` version (nopython loops) and a
-``*_numpy`` version (vectorized fallback). The module-level names dispatch
-to one of the two at import time:
-
-* ``MULTILOGISTIC_NUMBA=0`` (or ``false``/``no``/``off``) forces the numpy path;
-* otherwise numba is used when it imports cleanly.
-
-Both variants of a kernel implement the same update rules, so results agree
-to floating-point reordering. ``benchmarks/bench_kernels.py`` times the pair.
+The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
+as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
+``perfbench/`` times every kernel inside the CLI jobs that use it.
 """
 
 import math
-import os
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("MULTILOGISTIC_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
+# read by perfbench/run.py; there is no compiled backend
 USING_NUMBA = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # numba is an optional extra; fall back to numpy
-        pass
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        # identity decorator so the *_numba names stay importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -49,188 +18,8 @@ if not USING_NUMBA:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def advance_walkers_numba(x, normals, drift, sigma, dt, total, floor):
-    """Advance the population vector ``x`` in place by ``normals.shape[0]`` batch steps.
-
-    Per step: propose the multiplicative kick x*exp(dt*(drift + sigma*xi));
-    reject proposals that fall below the floor (walker keeps its previous
-    value); rescale everyone so the total is restored exactly; pin any
-    post-rescale stragglers at the floor and renormalize the rest,
-    repeating until no walker sits below the floor (each pass strictly
-    grows the pinned set, so this terminates; in the sparse regime a
-    single pass suffices).
-
-    Returns -1 on success, else the index of the first bad step.
-    """
-    steps = normals.shape[0]
-    n = x.shape[0]
-    prop = np.empty(n)
-    for s in range(steps):
-        acc = 0.0
-        for i in range(n):
-            p = x[i] * math.exp(dt * (drift[i] + sigma[i] * normals[s, i]))
-            if p < floor:
-                p = x[i]
-            prop[i] = p
-            acc += p
-        if not (acc > 0.0 and math.isfinite(acc)):
-            return s
-        scale = total / acc
-        pinned = 0
-        for i in range(n):
-            x[i] = prop[i] * scale
-            if x[i] <= floor:
-                pinned += 1
-        while pinned > 0:
-            rest = 0.0
-            for i in range(n):
-                if x[i] <= floor:
-                    x[i] = floor
-                else:
-                    rest += x[i]
-            if rest <= 0.0:
-                break  # every walker at the floor; nothing left to rescale
-            scale2 = (total - pinned * floor) / rest
-            violations = 0
-            for i in range(n):
-                if x[i] > floor:
-                    x[i] *= scale2
-                    if x[i] < floor:
-                        violations += 1
-            if violations == 0:
-                break
-            pinned += violations
-    return -1
-
-
-def advance_walkers_numpy(x, normals, drift, sigma, dt, total, floor):
-    steps = normals.shape[0]
-    for s in range(steps):
-        p = x * np.exp(dt * (drift + sigma * normals[s]))
-        prop = np.where(p < floor, x, p)
-        acc = prop.sum()
-        if not (acc > 0.0 and np.isfinite(acc)):
-            return s
-        v = prop * (total / acc)
-        pin = v <= floor
-        while pin.any():
-            v[pin] = floor
-            keep = ~pin
-            rest = v[keep].sum()
-            if rest <= 0.0:
-                break
-            v[keep] *= (total - pin.sum() * floor) / rest
-            if not (v[keep] < floor).any():
-                break
-            pin = v <= floor
-        x[:] = v
-    return -1
-
-
-@njit(cache=True)
-def advance_walkers_seq_numba(x, normals, drift, sigma, dt, total, floor):
-    """Advance walkers one at a time, restoring the total after every move.
-
-    Walker i proposes the multiplicative kick exp(dt*(drift_i + sigma_i*xi));
-    the global rescale that keeps sum(x) = total is applied immediately, and
-    the whole move is rejected if it would leave the mover or any other
-    walker below the floor. Sequential moves with whole-move rejection
-    sample the flat measure on the constraint surface, so the ensemble
-    equilibrates to the analytic rank law; the batch sweep above does not
-    (its per-walker rejections pump mass off the floor into the largest
-    walkers).
-
-    Returns -1 on success, else the index of the first bad step.
-    """
-    steps = normals.shape[0]
-    n = x.shape[0]
-
-    # global multiplier: true population = mult * x[i]
-    mult = 1.0
-    s_true = 0.0
-    for i in range(n):
-        s_true += x[i]
-
-    # track the two smallest scaled values (rescales preserve ranking)
-    i1, v1, i2, v2 = _two_smallest(x)
-
-    for s in range(steps):
-        for i in range(n):
-            f = math.exp(dt * (drift[i] + sigma[i] * normals[s, i]))
-            a = x[i]
-            b = a * f
-            s_new = s_true + mult * (b - a)
-            if not (s_new > 0.0 and math.isfinite(s_new)):
-                return s
-            rho = total / s_new
-            m_new = mult * rho
-            if b * m_new < floor:
-                continue  # mover would sink below the floor
-            if rho < 1.0:
-                vmin = v2 if i == i1 else v1
-                if vmin * m_new < floor:
-                    continue  # rescale would sink the smallest walker
-            x[i] = b
-            mult = m_new
-            s_true = total
-            # maintain the two smallest
-            if i == i1:
-                if b <= v2:
-                    v1 = b
-                else:
-                    i1, v1, i2, v2 = _two_smallest(x)
-            elif i == i2:
-                if b < v1:
-                    i2 = i1
-                    v2 = v1
-                    i1 = i
-                    v1 = b
-                elif b <= v2:
-                    v2 = b
-                else:
-                    i1, v1, i2, v2 = _two_smallest(x)
-            else:
-                if b < v1:
-                    i2 = i1
-                    v2 = v1
-                    i1 = i
-                    v1 = b
-                elif b < v2:
-                    i2 = i
-                    v2 = b
-        # fold the multiplier back in and re-sync the running sum
-        acc = 0.0
-        for q in range(n):
-            x[q] *= mult
-            acc += x[q]
-        mult = 1.0
-        s_true = acc
-        i1, v1, i2, v2 = _two_smallest(x)
-    return -1
-
-
-@njit(cache=True)
 def _two_smallest(x):
-    n = x.shape[0]
-    i1 = 0
-    i2 = 0
-    v1 = 1e308
-    v2 = 1e308
-    for i in range(n):
-        if x[i] < v1:
-            i2 = i1
-            v2 = v1
-            i1 = i
-            v1 = x[i]
-        elif x[i] < v2:
-            i2 = i
-            v2 = x[i]
-    return i1, v1, i2, v2
-
-
-def _two_smallest_list(x):
-    # _two_smallest on a Python list (same scan, same tie-breaking)
+    # indices and values of the two smallest entries of a list (first wins ties)
     i1 = 0
     i2 = 0
     v1 = 1e308
@@ -247,19 +36,31 @@ def _two_smallest_list(x):
     return i1, v1, i2, v2
 
 
-def advance_walkers_seq_numpy(x, normals, drift, sigma, dt, total, floor):
-    # the same moves as advance_walkers_seq_numba, operation for operation
-    # (same two-smallest bookkeeping, same summation order). The interleaved
-    # rescale rules out vectorizing the moves, so the loop runs on Python
-    # floats: reading numpy scalars one at a time costs several times more.
-    # Only one row of exponents is formed at a time.
+def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor):
+    """Advance walkers one at a time, restoring the total after every move.
+
+    Walker i proposes the multiplicative kick exp(dt*(drift_i + sigma_i*xi));
+    the global rescale that keeps sum(x) = total is applied immediately, and
+    the whole move is rejected if it would leave the mover or any other
+    walker below the floor. Sequential moves with whole-move rejection
+    sample the flat measure on the constraint surface, so the ensemble
+    equilibrates to the analytic rank law.
+
+    ``x`` is updated in place, also on failure. Returns -1 on success, else
+    the index of the first bad step.
+    """
+    # The interleaved rescale rules out vectorizing the moves, so the loop
+    # runs on Python floats: reading numpy scalars one at a time costs
+    # several times more. The rescale is carried as a global multiplier
+    # (true population = mult * xs[i]) and folded back in once per step;
+    # the two smallest walkers are tracked because rescales preserve ranking.
     xs = x.tolist()
     n = len(xs)
     mult = 1.0
     s_true = 0.0
     for a in xs:
         s_true += a
-    i1, v1, i2, v2 = _two_smallest_list(xs)
+    i1, v1, i2, v2 = _two_smallest(xs)
     exp = math.exp
     isfinite = math.isfinite
     for s in range(normals.shape[0]):
@@ -274,11 +75,11 @@ def advance_walkers_seq_numpy(x, normals, drift, sigma, dt, total, floor):
             rho = total / s_new
             m_new = mult * rho
             if b * m_new < floor:
-                continue
+                continue  # mover would sink below the floor
             if rho < 1.0:
                 vmin = v2 if i == i1 else v1
                 if vmin * m_new < floor:
-                    continue
+                    continue  # rescale would sink the smallest walker
             xs[i] = b
             mult = m_new
             s_true = total
@@ -286,19 +87,20 @@ def advance_walkers_seq_numpy(x, normals, drift, sigma, dt, total, floor):
                 if b <= v2:
                     v1 = b
                 else:
-                    i1, v1, i2, v2 = _two_smallest_list(xs)
+                    i1, v1, i2, v2 = _two_smallest(xs)
             elif i == i2:
                 if b < v1:
                     i2, v2, i1, v1 = i1, v1, i, b
                 elif b <= v2:
                     v2 = b
                 else:
-                    i1, v1, i2, v2 = _two_smallest_list(xs)
+                    i1, v1, i2, v2 = _two_smallest(xs)
             else:
                 if b < v1:
                     i2, v2, i1, v1 = i1, v1, i, b
                 elif b < v2:
                     i2, v2 = i, b
+        # fold the multiplier back in and re-sync the running sum
         acc = 0.0
         for q in range(n):
             v = xs[q] * mult
@@ -306,7 +108,7 @@ def advance_walkers_seq_numpy(x, normals, drift, sigma, dt, total, floor):
             acc += v
         mult = 1.0
         s_true = acc
-        i1, v1, i2, v2 = _two_smallest_list(xs)
+        i1, v1, i2, v2 = _two_smallest(xs)
     x[:] = xs
     return -1
 
@@ -316,8 +118,7 @@ def advance_walkers_seq_numpy(x, normals, drift, sigma, dt, total, floor):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def integrate_constant_numba(traj, rates, total, dt):
+def integrate_constant(traj, rates, total, dt):
     """Fill ``traj[1:]`` by classical RK4 from ``traj[0]`` with constant rates.
 
     After every step the state is rescaled by total/sum(x), removing the
@@ -325,58 +126,6 @@ def integrate_constant_numba(traj, rates, total, dt):
 
     Returns -1 on success, else the first step index with a non-finite state.
     """
-    steps = traj.shape[0] - 1
-    n = traj.shape[1]
-    x = traj[0].copy()
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    xt = np.empty(n)
-    for s in range(steps):
-        m = 0.0
-        for i in range(n):
-            m += rates[i] * x[i]
-        m /= total
-        for i in range(n):
-            k1[i] = x[i] * (rates[i] - m)
-            xt[i] = x[i] + 0.5 * dt * k1[i]
-        m = 0.0
-        for i in range(n):
-            m += rates[i] * xt[i]
-        m /= total
-        for i in range(n):
-            k2[i] = xt[i] * (rates[i] - m)
-        for i in range(n):
-            xt[i] = x[i] + 0.5 * dt * k2[i]
-        m = 0.0
-        for i in range(n):
-            m += rates[i] * xt[i]
-        m /= total
-        for i in range(n):
-            k3[i] = xt[i] * (rates[i] - m)
-        for i in range(n):
-            xt[i] = x[i] + dt * k3[i]
-        m = 0.0
-        for i in range(n):
-            m += rates[i] * xt[i]
-        m /= total
-        for i in range(n):
-            k4[i] = xt[i] * (rates[i] - m)
-        acc = 0.0
-        for i in range(n):
-            x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            acc += x[i]
-        if not (acc > 0.0 and math.isfinite(acc)):
-            return s
-        scale = total / acc
-        for i in range(n):
-            x[i] *= scale
-            traj[s + 1, i] = x[i]
-    return -1
-
-
-def integrate_constant_numpy(traj, rates, total, dt):
     steps = traj.shape[0] - 1
     x = traj[0].copy()
 
@@ -402,42 +151,12 @@ def integrate_constant_numpy(traj, rates, total, dt):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def bfs_layer_sizes_numba(indptr, indices, seed):
+def bfs_layer_sizes(indptr, indices, seed):
     """Cumulative node counts within distance 0, 1, 2, ... of ``seed``.
 
     Stops when the reachable set is exhausted; the returned vector is
     strictly increasing and starts at 1.
     """
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
-    sizes = np.empty(n + 1, np.int64)
-    dist[seed] = 0
-    queue[0] = seed
-    head = 0
-    tail = 1
-    level_end = 1
-    sizes[0] = 1
-    nlayers = 1
-    while head < tail:
-        v = queue[head]
-        head += 1
-        for j in range(indptr[v], indptr[v + 1]):
-            w = indices[j]
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue[tail] = w
-                tail += 1
-        if head == level_end:
-            if tail > level_end:
-                sizes[nlayers] = tail
-                nlayers += 1
-                level_end = tail
-    return sizes[:nlayers].copy()
-
-
-def bfs_layer_sizes_numpy(indptr, indices, seed):
     n = indptr.shape[0] - 1
     visited = np.zeros(n, dtype=bool)
     visited[seed] = True
@@ -466,64 +185,12 @@ def bfs_layer_sizes_numpy(indptr, indices, seed):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def amplitude_evolve_numba(traj, coupling, dt):
+def amplitude_evolve(traj, coupling, dt):
     """Fill ``traj[1:]`` from ``traj[0]`` under dc/dt = (K c - <c,Kc>/<c,c> c)/2.
 
     The state is rescaled to unit norm after every step. Returns -1 on
     success, else the first failing step index.
     """
-    steps = traj.shape[0] - 1
-    n = traj.shape[1]
-    c = traj[0].copy()
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    xt = np.empty(n)
-
-    for s in range(steps):
-        _amp_rhs(c, coupling, k1)
-        for i in range(n):
-            xt[i] = c[i] + 0.5 * dt * k1[i]
-        _amp_rhs(xt, coupling, k2)
-        for i in range(n):
-            xt[i] = c[i] + 0.5 * dt * k2[i]
-        _amp_rhs(xt, coupling, k3)
-        for i in range(n):
-            xt[i] = c[i] + dt * k3[i]
-        _amp_rhs(xt, coupling, k4)
-        acc = 0.0
-        for i in range(n):
-            c[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            acc += c[i] * c[i]
-        if not (acc > 0.0 and math.isfinite(acc)):
-            return s
-        scale = 1.0 / math.sqrt(acc)
-        for i in range(n):
-            c[i] *= scale
-            traj[s + 1, i] = c[i]
-    return -1
-
-
-@njit(cache=True)
-def _amp_rhs(c, coupling, out):
-    n = c.shape[0]
-    num = 0.0
-    den = 0.0
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += coupling[i, j] * c[j]
-        out[i] = acc
-        num += c[i] * acc
-        den += c[i] * c[i]
-    q = num / den
-    for i in range(n):
-        out[i] = 0.5 * (out[i] - q * c[i])
-
-
-def amplitude_evolve_numpy(traj, coupling, dt):
     steps = traj.shape[0] - 1
     c = traj[0].copy()
 
@@ -544,17 +211,3 @@ def amplitude_evolve_numpy(traj, coupling, dt):
         c /= math.sqrt(acc)
         traj[s + 1] = c
     return -1
-
-
-if USING_NUMBA:
-    advance_walkers = advance_walkers_numba
-    advance_walkers_seq = advance_walkers_seq_numba
-    integrate_constant = integrate_constant_numba
-    bfs_layer_sizes = bfs_layer_sizes_numba
-    amplitude_evolve = amplitude_evolve_numba
-else:
-    advance_walkers = advance_walkers_numpy
-    advance_walkers_seq = advance_walkers_seq_numpy
-    integrate_constant = integrate_constant_numpy
-    bfs_layer_sizes = bfs_layer_sizes_numpy
-    amplitude_evolve = amplitude_evolve_numpy

@@ -16,9 +16,8 @@ rate is ``lam / x0``. With this convention the mean-value constraint reads
 
 and the solved values for city-population data land in the 5e-3 range.
 
-The special functions are implemented here directly (series for small
-argument, modified-Lentz continued fraction for large argument) so results
-are bit-reproducible and dependency-free.
+Gamma(0, z) is scipy's compiled exponential integral ``scipy.special.exp1``;
+its inverse is a safeguarded Newton iteration that runs on whole arrays.
 """
 
 import math
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.special import exp1
 
 from .errors import InputDataError, NumericsError
 
@@ -49,106 +49,82 @@ _EULER_GAMMA = 0.5772156649015328606065120900824024
 _Z_CAP = 700.0  # beyond this exp(-z) leaves the normal double range
 
 
-def _gamma0_scalar(z: float) -> float:
-    if not z > 0.0:
-        raise InputDataError("gamma0 requires z > 0")
-    if z <= 1.0:
-        # E1(z) = -gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!)
-        total = -_EULER_GAMMA - math.log(z)
-        term = 1.0
-        for k in range(1, 64):
-            term *= -z / k
-            total -= term / k
-            if abs(term / k) < 1e-18 * abs(total):
-                break
-        return total
-    # modified Lentz continued fraction: E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/...))
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-z)
+_Z_MIN = 1e-300  # lower end of the inverse's bracket
+_G_MAX = float(exp1(_Z_MIN))  # about 690: larger g has its root below _Z_MIN
 
 
 def gamma0(z):
     """Order-zero upper incomplete gamma Gamma(0, z) = integral_z^inf e^-t / t dt.
 
-    Accurate to better than 1e-10 relative over z in [1e-8, 700]. Accepts a
-    scalar or an array.
+    Accepts a scalar (returns a float) or an array; every z must be > 0.
     """
-    if np.ndim(z) == 0:
-        return _gamma0_scalar(float(z))
     arr = np.asarray(z, dtype=float)
-    out = np.empty_like(arr)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _gamma0_scalar(flat_in[i])
-    return out
+    if not np.all(arr > 0.0):
+        raise InputDataError("gamma0 requires z > 0")
+    out = exp1(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def gamma0_inverse(g):
     """Solve Gamma(0, z) = g for z > 0 (safeguarded Newton in log z).
 
     Gamma(0, .) decreases monotonically from +inf to 0, so the inverse is
-    unique. Residual is driven below 1e-12 relative to ``g``.
+    unique. Residual is driven below 1e-12 relative to ``g``. Accepts a
+    scalar (returns a float) or an array; every element is solved at once,
+    each with its own bracket.
     """
-    if np.ndim(g) == 0:
-        return _gamma0_inverse_scalar(float(g))
     arr = np.asarray(g, dtype=float)
-    out = np.empty_like(arr)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _gamma0_inverse_scalar(flat_in[i])
-    return out
-
-
-def _gamma0_inverse_scalar(g: float) -> float:
-    if not g > 0.0:
+    if not np.all(arr > 0.0):
         raise InputDataError("gamma0_inverse requires g > 0")
-    if g < 1e-305:
+    if np.any(arr < 1e-305):
         raise NumericsError("gamma0_inverse argument underflows double precision")
+    if np.any(arr > _G_MAX):
+        raise NumericsError(
+            f"gamma0_inverse argument above {_G_MAX:.6g}: its root underflows "
+            "double precision"
+        )
+    gv = arr.ravel()
     # bracket [lo, hi] with gamma0(lo) > g > gamma0(hi)
-    lo, hi = 1e-300, 1.0
-    while _gamma0_scalar(hi) > g:
-        hi *= 2.0
-        if hi > 745.0:
-            break
+    lo = np.full(gv.shape, _Z_MIN)
+    hi = np.ones(gv.shape)
+    grow = exp1(hi) > gv
+    while grow.any():
+        hi[grow] *= 2.0
+        grow &= (hi <= 745.0) & (exp1(hi) > gv)
     # initial guess from the two asymptotic branches
-    if g > 0.6:
-        zq = math.exp(-_EULER_GAMMA - g)
-    else:
-        zq = max(1e-12, -math.log(g) - math.log(max(-math.log(g), 1.5)))
-    z = min(max(zq, lo * 2.0), hi)
+    neglog = -np.log(gv)
+    z = np.where(gv > 0.6, np.exp(-_EULER_GAMMA - gv),
+                 np.maximum(1e-12, neglog - np.log(np.maximum(neglog, 1.5))))
+    z = np.minimum(np.maximum(z, 2.0 * _Z_MIN), hi)
+
+    out = np.empty(gv.shape)
+    todo = np.arange(gv.size)
     for _ in range(200):
-        f = _gamma0_scalar(z) - g
-        if f > 0.0:
-            lo = z
-        else:
-            hi = z
-        if abs(f) <= 1e-12 * g:
-            return z
+        f = exp1(z) - gv
+        above = f > 0.0
+        lo = np.where(above, z, lo)
+        hi = np.where(above, hi, z)
         # Newton step in w = log z: dE1/dw = -exp(-z)
-        step = f / math.exp(-z) if z < _Z_CAP else 0.0
-        w = math.log(z) + step
-        z_new = math.exp(w) if np.isfinite(w) else -1.0
-        if not lo < z_new < hi:
-            z_new = math.sqrt(lo * hi)  # bisect in log space
-        if abs(z_new - z) <= 1e-15 * z:
-            return z_new
-        z = z_new
-    raise NumericsError(f"gamma0_inverse failed to converge for g={g!r}")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = np.where(z < _Z_CAP, f / np.exp(-z), 0.0)
+            z_new = np.exp(np.log(z) + step)
+        outside = ~((lo < z_new) & (z_new < hi))
+        # bisect in log space; sqrt of each end keeps the product from underflowing
+        z_new[outside] = np.sqrt(lo[outside]) * np.sqrt(hi[outside])
+        converged = np.abs(f) <= 1e-12 * gv
+        stalled = ~converged & (np.abs(z_new - z) <= 1e-15 * z)
+        out[todo[converged]] = z[converged]
+        out[todo[stalled]] = z_new[stalled]
+        keep = ~(converged | stalled)
+        todo, gv, z, lo, hi = todo[keep], gv[keep], z_new[keep], lo[keep], hi[keep]
+        if not todo.size:
+            break
+    else:
+        raise NumericsError(
+            f"gamma0_inverse failed to converge for {gv.size} value(s), "
+            f"g={gv[:5].tolist()!r}"
+        )
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -182,7 +158,9 @@ class MaxEntModel:
 
 def mean_population_from(lam: float, x0: float) -> float:
     """Mean of the equilibrium density for a given decay constant and floor."""
-    return x0 * math.exp(-lam) / (lam * _gamma0_scalar(lam))
+    if not lam > 0.0:
+        raise InputDataError("the decay constant must be positive")
+    return x0 * math.exp(-lam) / (lam * float(exp1(lam)))
 
 
 def mean_population(model: MaxEntModel) -> float:
@@ -194,7 +172,7 @@ def model_from_lam(lam: float, x0: float, n: int) -> MaxEntModel:
     return MaxEntModel(
         lam=float(lam), x0=float(x0), n=int(n),
         total=n * mean_population_from(float(lam), float(x0)),
-        mu=math.log(_gamma0_scalar(float(lam))),
+        mu=math.log(float(exp1(float(lam)))),
     )
 
 
@@ -215,7 +193,7 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
         )
 
     def phi(z: float) -> float:
-        return math.exp(-z) / (z * _gamma0_scalar(z))
+        return math.exp(-z) / (z * float(exp1(z)))
 
     lo, hi = 1e-12, 1.0
     while phi(hi) > ratio:
@@ -235,7 +213,7 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     z = 0.5 * (lo + hi)
     # Newton polish on log phi(z) - log ratio
     for _ in range(8):
-        e1 = _gamma0_scalar(z)
+        e1 = float(exp1(z))
         f = math.log(phi(z)) - math.log(ratio)
         fp = -1.0 - 1.0 / z + math.exp(-z) / (z * e1)
         z_new = z - f / fp
@@ -248,7 +226,7 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     residual = abs(phi(z) - ratio)
     if residual > 1e-10 * ratio:
         raise NumericsError(f"mean-value solve stalled at residual {residual:.3e}")
-    return MaxEntModel(lam=z, x0=x0, n=n, total=total, mu=math.log(_gamma0_scalar(z)))
+    return MaxEntModel(lam=z, x0=x0, n=n, total=total, mu=math.log(float(exp1(z))))
 
 
 def analytic_rank(model: MaxEntModel, r):
@@ -260,17 +238,15 @@ def analytic_rank(model: MaxEntModel, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr > model.n):
         raise InputDataError("rank must lie in (0, n]")
-    g0 = _gamma0_scalar(model.lam)
+    g0 = float(exp1(model.lam))
     scale = model.x0 / model.lam
-    if r_arr.ndim == 0:
-        return scale * _gamma0_inverse_scalar(g0 * float(r_arr) / model.n)
     return scale * gamma0_inverse(g0 * r_arr / model.n)
 
 
 def population_cdf(model: MaxEntModel, x):
     """Equilibrium CDF F(x) = 1 - Gamma(0, lam*x/x0) / Gamma(0, lam) for x >= x0."""
     x_arr = np.asarray(x, dtype=float)
-    g0 = _gamma0_scalar(model.lam)
+    g0 = float(exp1(model.lam))
     z = model.lam * np.maximum(x_arr, model.x0) / model.x0
     out = 1.0 - gamma0(z) / g0
     return np.where(x_arr < model.x0, 0.0, out)
@@ -354,6 +330,8 @@ def filter_populations(populations, x0: float, drop_top: int = 0):
     The floor comparison carries a 1e-9 relative slack so values sitting on
     the floor up to rounding are kept.
     """
+    if drop_top < 0:
+        raise InputDataError(f"drop_top must be non-negative, got {drop_top}")
     xs = np.sort(np.asarray(populations, dtype=float))[::-1]
     cut = x0 * (1.0 - 1e-9)
     below = int(np.sum(xs < cut))

@@ -115,6 +115,8 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
         raise InputDataError("need node_count >= c_max >= 2")
     if not 1 <= c_min <= c_max:
         raise InputDataError("need 1 <= c_min <= c_max")
+    if seed < 0:
+        raise InputDataError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     support = np.arange(c_min, c_max + 1)
     weights = 1.0 / support

@@ -1,10 +1,10 @@
 """Random-walker ensemble for the high-noise (thermodynamic) regime.
 
-Walkers live in log-population space, where proportional growth is an
-additive random walk. Each step proposes u_i + dt*(drift_i + sigma_i*xi_i),
-rejects proposals that would sink a walker below the population floor, and
-applies one global additive shift so the total population stays pinned.
-Long runs equilibrate to the rank-size law solved in :mod:`.maxent`.
+Each walker is a population under proportional growth: a move multiplies
+x_i by exp(dt*(drift_i + sigma_i*xi)), one walker at a time, and the whole
+ensemble is rescaled at once so the total population stays pinned. A move
+that would leave any population below the floor is rejected outright. Long
+runs equilibrate to the rank-size law solved in :mod:`.maxent`.
 
 A single ensemble mutates its own state and is not thread-safe; independent
 ensembles (distinct seeds) can run in parallel freely. The noise stream
@@ -12,7 +12,6 @@ comes from a counter-based Philox generator, so a run is fully determined
 by (seed, parameters) regardless of how steps are chunked.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,27 +23,10 @@ from .maxent import RankDistribution
 __all__ = [
     "WalkerEnsemble",
     "EnsembleStats",
-    "normalization_shift",
     "scale_invariance_corr",
 ]
 
 _CHUNK_STEPS = 4096  # normals buffer: chunk * n doubles
-
-
-def normalization_shift(u_proposed, total: float) -> float:
-    """Additive log-space shift restoring sum(exp(u)) = total.
-
-    This is the exact correction -log(sum(exp(u))/total), not its
-    small-step linearization, so the constraint holds to rounding after
-    every application.
-    """
-    u = np.asarray(u_proposed, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InputDataError("proposals must be finite")
-    if not total > 0.0:
-        raise InputDataError("total must be positive")
-    m = float(u.max())
-    return math.log(total) - (m + math.log(np.exp(u - m).sum()))
 
 
 @dataclass(frozen=True)
@@ -57,50 +39,40 @@ class EnsembleStats:
 
 
 class WalkerEnsemble:
-    """n log-space walkers with conserved total and a hard floor.
+    """n walkers with conserved total and a hard floor.
 
-    Two update schemes share the same per-step ingredients (one normal per
-    walker, the floor, the exact correction):
-
-    * ``"sequential"`` (default): walkers move one at a time, the restoring
-      rescale is applied after every move, and a move is rejected outright
-      if it would leave any population below the floor. This samples the
-      flat measure on the constraint surface and equilibrates to the
-      analytic rank law.
-    * ``"sweep"``: all proposals are applied at once, floor-violating
-      proposals individually revert, then one global correction is applied
-      (stragglers below the floor are pinned there and the rest
-      renormalized, repeated until clean). The literal batch update; its
-      boundary handling steadily shifts mass from the floor into the
-      largest walkers, so the long-run state is condensed rather than the
-      rank law.
+    Walkers move one at a time (one normal per walker per step), the
+    restoring rescale is applied after every move, and a move is rejected
+    outright if it would leave any population below the floor. This samples
+    the flat measure on the constraint surface and equilibrates to the
+    analytic rank law.
     """
 
-    def __init__(self, x0, total, floor, dt, sigma, drift=0.0, seed=0,
-                 scheme="sequential"):
+    def __init__(self, x0, total, floor, dt, sigma, drift=0.0, seed=0):
         x = np.asarray(x0, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise InputDataError("need at least two walkers")
         n = x.size
-        if not (total > 0.0 and floor > 0.0 and dt > 0.0):
-            raise InputDataError("total, floor and dt must be positive")
+        if not all(0.0 < v < np.inf for v in (total, floor, dt)):
+            raise InputDataError("total, floor and dt must be positive and finite")
         if total <= n * floor:
             raise InputDataError(
                 f"floor infeasible: total {total:.6g} <= n*floor {n * floor:.6g}"
             )
         if np.any(x < floor):
             raise InputDataError("every initial population must be at the floor or above")
-        if scheme not in ("sequential", "sweep"):
-            raise InputDataError("scheme must be 'sequential' or 'sweep'")
         self.total = float(total)
         self.floor = float(floor)
         self.dt = float(dt)
-        self.scheme = scheme
         self.sigma = np.broadcast_to(np.asarray(sigma, float), (n,)).copy()
         self.drift = np.broadcast_to(np.asarray(drift, float), (n,)).copy()
-        if np.any(self.sigma < 0.0):
-            raise InputDataError("sigma must be non-negative")
+        if not np.all((self.sigma >= 0.0) & (self.sigma < np.inf)):
+            raise InputDataError("sigma must be finite and non-negative")
+        if not np.all(np.isfinite(self.drift)):
+            raise InputDataError("drift must be finite")
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InputDataError(f"seed must be non-negative, got {self.seed}")
         self._rng = np.random.Generator(np.random.Philox(self.seed))
         self.x = x * (self.total / x.sum())
         if np.any(self.x < self.floor * (1.0 - 1e-12)):
@@ -108,21 +80,20 @@ class WalkerEnsemble:
         self.step_count = 0
 
     @classmethod
-    def uniform(cls, n, total, floor, dt, sigma, drift=0.0, seed=0,
-                scheme="sequential"):
+    def uniform(cls, n, total, floor, dt, sigma, drift=0.0, seed=0):
         """All walkers starting at the mean population total/n."""
-        return cls(np.full(n, total / n), total, floor, dt, sigma, drift, seed,
-                   scheme=scheme)
+        if n < 2:
+            raise InputDataError("need at least two walkers")
+        return cls(np.full(n, total / n), total, floor, dt, sigma, drift, seed)
 
     @classmethod
-    def from_rates(cls, x0, total, floor, rates, seed=0, scheme="sequential"):
+    def from_rates(cls, x0, total, floor, rates, seed=0):
         """Construct from a :class:`~multilogistic.core.StochasticRates` model."""
         from .core import StochasticRates
 
         if not isinstance(rates, StochasticRates):
             raise InputDataError("from_rates expects a StochasticRates model")
-        return cls(x0, total, floor, rates.dt, rates.sigma, rates.mean, seed,
-                   scheme=scheme)
+        return cls(x0, total, floor, rates.dt, rates.sigma, rates.mean, seed)
 
     @property
     def n(self) -> int:
@@ -147,13 +118,11 @@ class WalkerEnsemble:
         """Advance the ensemble by ``steps`` steps."""
         if steps < 0:
             raise InputDataError("steps must be non-negative")
-        advance = (kernels.advance_walkers_seq if self.scheme == "sequential"
-                   else kernels.advance_walkers)
         done = 0
         while done < steps:
             chunk = min(steps - done, _CHUNK_STEPS)
             normals = self._rng.standard_normal((chunk, self.n))
-            bad = advance(
+            bad = kernels.advance_walkers_seq(
                 self.x, normals, self.drift, self.sigma,
                 self.dt, self.total, self.floor,
             )

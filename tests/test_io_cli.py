@@ -293,4 +293,37 @@ class TestManifest:
         assert manifest["command"] == "walkers"
         assert manifest["seed"] == 5
         assert manifest["config"]["burn_in"] == 50
-        assert manifest["versions"]["kernel_backend"] in ("numba", "numpy")
+        assert set(manifest["versions"]) == {"multilogistic", "numpy", "scipy"}
+
+
+WALKERS_SMALL = ["walkers", "--seed", "5", "--n", "40", "--total", "240000",
+                 "--burn-in", "50", "--sample-every", "5", "--samples", "2"]
+NETWORK_SMALL = ["--seed", "3", "--nodes", "500", "--max-degree", "20", "--processes", "10"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, word", [
+        (WALKERS_SMALL + ["--seed", "-1"], "seed"),
+        (WALKERS_SMALL + ["--sigma", "nan"], "sigma"),
+        (WALKERS_SMALL + ["--drift", "nan"], "drift"),
+        (WALKERS_SMALL + ["--dt", "inf"], "dt"),
+        (WALKERS_SMALL + ["--n", "0"], "walkers"),
+        (["sfin", *NETWORK_SMALL[:-2], "--seed", "-1"], "seed"),
+        (["diffuse", *NETWORK_SMALL, "--seed", "-1"], "seed"),
+        (["diffuse", *NETWORK_SMALL, "--processes", "-1"], "processes"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "-1"], "t_end"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
+        (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
+    ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
+            "sfin-seed", "diffuse-seed", "diffuse-processes", "itm-t-end", "itm-dt",
+            "rankfit-drop-top"])
+    def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
+        matrix = tmp_path / "k.csv"
+        io.write_matrix(matrix, np.diag([0.0, 0.4]))
+        populations = tmp_path / "pops.csv"
+        model = solve_lambda(6e5, 100, 150.0)
+        write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
+        argv = [a.format(matrix=matrix, populations=populations) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err

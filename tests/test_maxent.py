@@ -69,6 +69,9 @@ class TestGamma0:
             gamma0(0.0)
         with pytest.raises(InputDataError):
             gamma0(-1.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(InputDataError):
+                gamma0(np.array([0.5, bad, 2.0]))
 
 
 class TestGamma0Inverse:
@@ -86,6 +89,9 @@ class TestGamma0Inverse:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputDataError):
             gamma0_inverse(0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(InputDataError):
+                gamma0_inverse(np.array([0.5, bad, 2.0]))
 
 
 class TestSolveLambda:

@@ -7,79 +7,51 @@ from multilogistic import (
     InputDataError,
     NumericsError,
     WalkerEnsemble,
-    normalization_shift,
     scale_invariance_corr,
 )
 
-SCHEMES = ["sequential", "sweep"]
 
-
-class TestNormalizationShift:
-    def test_zero_when_already_normalized(self):
-        u = np.log(np.array([40.0, 35.0, 25.0]))
-        assert normalization_shift(u, 100.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_double_total_gives_minus_log2(self):
-        u = np.log(np.array([100.0, 100.0]))
-        assert normalization_shift(u, 100.0) == pytest.approx(-math.log(2.0), rel=1e-14)
-
-    def test_self_consistency_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            u = rng.normal(5.0, 3.0, size=rng.integers(2, 200))
-            total = float(rng.uniform(10.0, 1e7))
-            shift = normalization_shift(u, total)
-            assert abs(np.exp(u + shift).sum() - total) <= 1e-12 * total
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
 class TestStep:
-    def test_no_noise_no_drift_is_identity(self, scheme):
-        ens = WalkerEnsemble.uniform(20, 2e4, 150.0, 0.03, sigma=0.0, seed=1,
-                                     scheme=scheme)
+    def test_no_noise_no_drift_is_identity(self):
+        ens = WalkerEnsemble.uniform(20, 2e4, 150.0, 0.03, sigma=0.0, seed=1)
         before = ens.populations
         ens.run(10)
         np.testing.assert_allclose(ens.populations, before, rtol=1e-12)
 
-    def test_uniform_drift_cancelled_by_correction(self, scheme):
+    def test_uniform_drift_cancelled_by_correction(self):
         ens = WalkerEnsemble.uniform(20, 2e4, 150.0, 0.03, sigma=0.0, drift=0.8,
-                                     seed=1, scheme=scheme)
+                                     seed=1)
         before = ens.populations
         ens.run(10)
         np.testing.assert_allclose(ens.populations, before, rtol=1e-12)
 
-    def test_invariants_hold_every_step(self, scheme):
-        ens = WalkerEnsemble.uniform(100, 6e5, 150.0, 0.03, sigma=1.0, seed=3,
-                                     scheme=scheme)
+    def test_invariants_hold_every_step(self):
+        ens = WalkerEnsemble.uniform(100, 6e5, 150.0, 0.03, sigma=1.0, seed=3)
         for _ in range(300):
             ens.step()
             assert ens.total_error() <= 1e-9 * ens.total
             assert ens.populations.min() >= ens.floor
 
-    def test_invariants_under_heavy_floor_pressure(self, scheme):
+    def test_invariants_under_heavy_floor_pressure(self):
         # barely-feasible total with large kicks keeps walkers crowded onto
         # the floor, exercising the clamp/whole-move-rejection machinery
         ens = WalkerEnsemble.uniform(50, 50 * 150.0 * 1.05, 150.0, 0.5,
-                                     sigma=1.0, seed=8, scheme=scheme)
+                                     sigma=1.0, seed=8)
         for _ in range(400):
             ens.step()
             assert ens.total_error() <= 1e-9 * ens.total
             assert ens.populations.min() >= ens.floor * (1.0 - 1e-12)
 
-    def test_same_seed_bit_identical(self, scheme):
-        a = WalkerEnsemble.uniform(50, 1e5, 150.0, 0.03, sigma=1.0, seed=11,
-                                   scheme=scheme)
-        b = WalkerEnsemble.uniform(50, 1e5, 150.0, 0.03, sigma=1.0, seed=11,
-                                   scheme=scheme)
+    def test_same_seed_bit_identical(self):
+        a = WalkerEnsemble.uniform(50, 1e5, 150.0, 0.03, sigma=1.0, seed=11)
+        b = WalkerEnsemble.uniform(50, 1e5, 150.0, 0.03, sigma=1.0, seed=11)
         a.run(500)
         b.run(500)
         assert np.array_equal(a.u, b.u)
 
-    def test_chunking_does_not_change_stream(self, scheme):
-        a = WalkerEnsemble.uniform(30, 1e5, 150.0, 0.03, sigma=1.0, seed=12,
-                                   scheme=scheme)
-        b = WalkerEnsemble.uniform(30, 1e5, 150.0, 0.03, sigma=1.0, seed=12,
-                                   scheme=scheme)
+    def test_chunking_does_not_change_stream(self):
+        a = WalkerEnsemble.uniform(30, 1e5, 150.0, 0.03, sigma=1.0, seed=12)
+        b = WalkerEnsemble.uniform(30, 1e5, 150.0, 0.03, sigma=1.0, seed=12)
         a.run(137)
         for n in (50, 50, 37):
             b.run(n)
@@ -98,10 +70,6 @@ class TestConstruction:
     def test_start_below_floor_rejected(self):
         with pytest.raises(InputDataError):
             WalkerEnsemble(np.array([100.0, 1e4]), 1.01e4, 150.0, 0.03, sigma=1.0)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(InputDataError):
-            WalkerEnsemble.uniform(10, 1e4, 150.0, 0.03, sigma=1.0, scheme="async")
 
     def test_from_stochastic_rates(self):
         from multilogistic import StochasticRates
