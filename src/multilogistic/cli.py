@@ -154,6 +154,9 @@ def cmd_diffuse(args) -> int:
         raise InputDataError(f"seed must be non-negative, got {args.seed}")
     if args.processes < 1:
         raise InputDataError(f"processes must be at least 1, got {args.processes}")
+    for t in args.density_times:
+        if not 0.0 < t < np.inf:
+            raise InputDataError(f"density_times must be finite and positive, got {t}")
     out = _out_dir(args)
     if args.edges:
         net = io.read_edges(args.edges)

@@ -221,40 +221,18 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     traj[0] = x_init
 
     if isinstance(rates, ParametricRates):
-        bad = _integrate_parametric(traj, rates, total, dt, t0)
+        # rates at the start, middle and end of every step
+        k = np.empty((n_steps, 3, x_init.size))
+        for s, t in enumerate(times[:-1].tolist()):
+            k[s] = rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)
     else:
         k = rates.rates if isinstance(rates, ConstantRates) else np.asarray(rates, float)
         if k.shape != x_init.shape:
             raise InputDataError("rates length does not match initial populations")
-        bad = kernels.integrate_constant(traj, k, total, dt)
+    bad = kernels.integrate_constant(traj, k, total, dt)
     if bad >= 0:
         raise NumericsError(f"non-finite state encountered at step {bad}")
     return Trajectory(times, traj, float(total))
-
-
-def _integrate_parametric(traj, rates: ParametricRates, total, dt, t0):
-    # callable rates cannot cross into the compiled kernel; plain numpy loop
-    x = traj[0].copy()
-    steps = traj.shape[0] - 1
-    for s in range(steps):
-        t = t0 + s * dt
-        kt = rates.rates_at(t)
-        k1 = x * (kt - np.dot(kt, x) / total)
-        xm = x + 0.5 * dt * k1
-        km = rates.rates_at(t + 0.5 * dt)
-        k2 = xm * (km - np.dot(km, xm) / total)
-        xm = x + 0.5 * dt * k2
-        k3 = xm * (km - np.dot(km, xm) / total)
-        xe = x + dt * k3
-        ke = rates.rates_at(t + dt)
-        k4 = xe * (ke - np.dot(ke, xe) / total)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc = x.sum()
-        if not (acc > 0.0 and np.isfinite(acc)):
-            return s
-        x *= total / acc
-        traj[s + 1] = x
-    return -1
 
 
 def sigmoid(params: LogisticParams, t) -> np.ndarray | float:

@@ -123,13 +123,9 @@ def read_populations(path) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def write_rank_table(path, rank_table, analytic=None):
-    if analytic is None:
-        write_table(path, ["rank", "population"],
-                    zip(rank_table.ranks, rank_table.populations))
-    else:
-        write_table(path, ["rank", "population", "analytic"],
-                    zip(rank_table.ranks, rank_table.populations, analytic))
+def write_rank_table(path, rank_table, analytic):
+    write_table(path, ["rank", "population", "analytic"],
+                zip(rank_table.ranks, rank_table.populations, analytic))
 
 
 def write_snapshot(path, populations):
@@ -249,17 +245,8 @@ def read_share_csv(path, epoch: str, total: float = 100.0,
     return series.renormalized() if renormalize else series
 
 
-def write_share_series(path, series: ShareSeries, epoch: str | None = None):
-    """Emit a share table readable by :func:`read_share_csv` (date first).
-
-    Without an epoch there is no calendar anchor, so only t and the
-    components are written.
-    """
-    if epoch is None:
-        write_table(path, ["t"] + list(series.components),
-                    ([t] + list(series.shares[j])
-                     for j, t in enumerate(series.times)))
-        return
+def write_share_series(path, series: ShareSeries, epoch: str):
+    """Emit a share table readable by :func:`read_share_csv` (date first)."""
     header = ["date", "t"] + list(series.components)
 
     def rows():

@@ -79,12 +79,20 @@ def _as_unit_amplitude(chi) -> np.ndarray:
     return chi / norm
 
 
+def _checked_coupling(coupling, n: int) -> np.ndarray:
+    k = validate_coupling(coupling)
+    if k.shape[0] != n:
+        raise InputDataError("dimension mismatch between amplitudes and coupling")
+    return k
+
+
 def itm_rhs(chi, coupling) -> np.ndarray:
     """Right-hand side of the norm-preserving flow; orthogonal to unit chi."""
     chi = np.asarray(chi, dtype=float)
-    k = validate_coupling(coupling)
-    if k.shape[0] != chi.shape[0]:
-        raise InputDataError("dimension mismatch between amplitudes and coupling")
+    return _rhs(chi, _checked_coupling(coupling, chi.shape[0]))
+
+
+def _rhs(chi, k):
     kc = k @ chi
     q = float(chi @ kc) / float(chi @ chi)
     return 0.5 * (kc - q * chi)
@@ -125,37 +133,18 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
     traj[0] = chi
 
     if callable(coupling):
-        bad = _evolve_callable(traj, coupling, dt)
+        # one kernel step per evaluation of the rate functional
+        bad = -1
+        for s in range(n_steps):
+            k = _checked_coupling(coupling(traj[s]), chi.size)
+            if kernels.amplitude_evolve(traj[s:s + 2], k, dt) >= 0:
+                bad = s
+                break
     else:
-        k = validate_coupling(coupling)
-        if k.shape[0] != chi.size:
-            raise InputDataError("dimension mismatch between amplitudes and coupling")
-        bad = kernels.amplitude_evolve(traj, k, dt)
+        bad = kernels.amplitude_evolve(traj, _checked_coupling(coupling, chi.size), dt)
     if bad >= 0:
         raise NumericsError(f"non-finite amplitudes at step {bad}")
     return AmplitudeTrajectory(times, traj)
-
-
-def _evolve_callable(traj, coupling, dt):
-    c = traj[0].copy()
-    for s in range(traj.shape[0] - 1):
-        k = validate_coupling(coupling(c))
-
-        def rhs(v):
-            kv = k @ v
-            return 0.5 * (kv - (float(v @ kv) / float(v @ v)) * v)
-
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm2 = float(c @ c)
-        if not (norm2 > 0.0 and np.isfinite(norm2)):
-            return s
-        c /= np.sqrt(norm2)
-        traj[s + 1] = c
-    return -1
 
 
 def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
@@ -164,16 +153,15 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
 
     Converges to the dominant eigenvector of the coupling matrix reachable
     from the start (components of the start along it must be non-zero).
+    A callable coupling is evaluated once per step, as in ``itm_evolve``.
     """
     chi = _as_unit_amplitude(chi0)
-    k = validate_coupling(coupling) if not callable(coupling) else None
+    fixed = None if callable(coupling) else _checked_coupling(coupling, chi.size)
     steps_done = 0
     while steps_done < max_steps:
-        mat = k if k is not None else validate_coupling(coupling(chi))
-        r = itm_rhs(chi, mat)
-        if float(np.linalg.norm(r)) < tol:
-            return chi, rayleigh(chi, mat), steps_done
-        seg = itm_evolve(chi, mat, 100 * dt, dt)
-        chi = seg.states[-1]
+        k = fixed if fixed is not None else _checked_coupling(coupling(chi), chi.size)
+        if float(np.linalg.norm(_rhs(chi, k))) < tol:
+            return chi, rayleigh(chi, k), steps_done
+        chi = itm_evolve(chi, coupling, 100 * dt, dt).states[-1]
         steps_done += 100
     raise NumericsError(f"no steady state within {max_steps} steps")

@@ -119,24 +119,28 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor):
 
 
 def integrate_constant(traj, rates, total, dt):
-    """Fill ``traj[1:]`` by classical RK4 from ``traj[0]`` with constant rates.
+    """Fill ``traj[1:]`` by classical RK4 from ``traj[0]``.
 
-    After every step the state is rescaled by total/sum(x), removing the
+    ``rates`` is an (n,) vector for constant rates, or a (steps, 3, n) array
+    holding the rates at the start, middle and end of every step. After
+    every step the state is rescaled by total/sum(x), removing the
     integrator's drift off the conservation constraint exactly.
 
     Returns -1 on success, else the first step index with a non-finite state.
     """
     steps = traj.shape[0] - 1
     x = traj[0].copy()
+    # (steps, n) rows of the rates at the start, middle and end of each step
+    start, mid, end = np.broadcast_to(rates, (steps, 3, x.shape[0])).transpose(1, 0, 2)
 
-    def rhs(y):
-        return y * (rates - np.dot(rates, y) / total)
+    def rhs(y, r):
+        return y * (r - np.dot(r, y) / total)
 
-    for s in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
+    for s, (r0, rm, r1) in enumerate(zip(start, mid, end)):
+        k1 = rhs(x, r0)
+        k2 = rhs(x + 0.5 * dt * k1, rm)
+        k3 = rhs(x + 0.5 * dt * k2, rm)
+        k4 = rhs(x + dt * k3, r1)
         x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         acc = x.sum()
         if not (acc > 0.0 and np.isfinite(acc)):

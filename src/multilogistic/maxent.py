@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 from scipy.special import exp1
 
 from .errors import InputDataError, NumericsError
@@ -179,10 +179,10 @@ def model_from_lam(lam: float, x0: float, n: int) -> MaxEntModel:
 def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     """Determine the decay constant from the mean-value constraint.
 
-    Solves exp(-z)/(z * Gamma(0, z)) = total/(n*x0) by bracketing bisection
-    with a Newton polish; the residual is below 1e-10 relative. The ratio
-    total/(n*x0) must exceed 1; as it approaches 1 the constant diverges and
-    the solver reports the cap.
+    Solves exp(-z)/(z * Gamma(0, z)) = total/(n*x0) with Brent's method on
+    the logarithm of both sides; the residual is below 1e-10 relative. The
+    ratio total/(n*x0) must exceed 1; as it approaches 1 the constant
+    diverges and the solver reports the cap.
     """
     if not (total > 0.0 and x0 > 0.0 and n >= 1):
         raise InputDataError("need total > 0, x0 > 0, n >= 1")
@@ -196,33 +196,19 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
         return math.exp(-z) / (z * float(exp1(z)))
 
     lo, hi = 1e-12, 1.0
+    if not phi(lo) > ratio:
+        raise NumericsError(
+            "mean too far above the floor: decay constant below the bracket"
+        )
     while phi(hi) > ratio:
         hi *= 2.0
         if hi > _Z_CAP:
             raise NumericsError(
                 "mean too close to the floor: decay constant beyond the cap"
             )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > ratio:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * mid:
-            break
-    z = 0.5 * (lo + hi)
-    # Newton polish on log phi(z) - log ratio
-    for _ in range(8):
-        e1 = float(exp1(z))
-        f = math.log(phi(z)) - math.log(ratio)
-        fp = -1.0 - 1.0 / z + math.exp(-z) / (z * e1)
-        z_new = z - f / fp
-        if not (0.0 < z_new < _Z_CAP):
-            break
-        if abs(z_new - z) <= 1e-15 * z:
-            z = z_new
-            break
-        z = z_new
+    log_ratio = math.log(ratio)
+    z = brentq(lambda z: math.log(phi(z)) - log_ratio, lo, hi,
+               xtol=1e-300, rtol=4.0 * np.finfo(float).eps, disp=False)
     residual = abs(phi(z) - ratio)
     if residual > 1e-10 * ratio:
         raise NumericsError(f"mean-value solve stalled at residual {residual:.3e}")

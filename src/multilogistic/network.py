@@ -233,24 +233,24 @@ def degree_loglog_slope(net: Network, lo: int = 2, hi: int | None = None) -> flo
     return float(np.polyfit(np.log(vals[mask]), np.log(counts[mask]), 1)[0])
 
 
-def connected_component_sizes(net: Network) -> np.ndarray:
-    """Component sizes, largest first."""
+def _component_labels(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    # component label of every node, and the size of every component
     graph = csr_matrix(
         (np.ones(net.indices.size, dtype=np.int8), net.indices, net.indptr),
         shape=(net.node_count, net.node_count),
     )
     n_comp, labels = _sparse_components(graph, directed=False)
-    return np.sort(np.bincount(labels, minlength=n_comp))[::-1]
+    return labels, np.bincount(labels, minlength=n_comp)
+
+
+def connected_component_sizes(net: Network) -> np.ndarray:
+    """Component sizes, largest first."""
+    return np.sort(_component_labels(net)[1])[::-1]
 
 
 def largest_component_nodes(net: Network) -> np.ndarray:
-    graph = csr_matrix(
-        (np.ones(net.indices.size, dtype=np.int8), net.indices, net.indptr),
-        shape=(net.node_count, net.node_count),
-    )
-    n_comp, labels = _sparse_components(graph, directed=False)
-    big = np.argmax(np.bincount(labels, minlength=n_comp))
-    return np.nonzero(labels == big)[0]
+    labels, sizes = _component_labels(net)
+    return np.nonzero(labels == np.argmax(sizes))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +313,8 @@ def kernel_density(params: DiffusionKernelParams, x, t: float):
     The median therefore advances along the deterministic logistic path.
     Normalizes to one over (0, total).
     """
-    if not t > 0.0:
-        raise InputDataError("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise InputDataError(f"t must be finite and positive, got {t}")
     if not params.diff_coeff > 0.0:
         raise InputDataError("density evaluation requires diff_coeff > 0")
     x_arr = np.asarray(x, dtype=float)

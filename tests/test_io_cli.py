@@ -311,12 +311,17 @@ class TestBadInput:
         (["sfin", *NETWORK_SMALL[:-2], "--seed", "-1"], "seed"),
         (["diffuse", *NETWORK_SMALL, "--seed", "-1"], "seed"),
         (["diffuse", *NETWORK_SMALL, "--processes", "-1"], "processes"),
+        # enough processes for the kernel fit, so only the density times are bad
+        (["diffuse", *NETWORK_SMALL, "--processes", "40", "--density-times", "-1"],
+         "density_times"),
+        (["diffuse", *NETWORK_SMALL, "--processes", "40", "--density-times", "1,inf"],
+         "density_times"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "-1"], "t_end"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
-            "sfin-seed", "diffuse-seed", "diffuse-processes", "itm-t-end", "itm-dt",
-            "rankfit-drop-top"])
+            "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
+            "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top"])
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
         io.write_matrix(matrix, np.diag([0.0, 0.4]))
@@ -324,6 +329,9 @@ class TestBadInput:
         model = solve_lambda(6e5, 100, 150.0)
         write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
         argv = [a.format(matrix=matrix, populations=populations) for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err
+        # rejected before any work: nothing written
+        assert not out.exists() or not any(out.iterdir())

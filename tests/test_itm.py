@@ -165,6 +165,24 @@ class TestGroundState:
         assert q == pytest.approx(w[-1], abs=1e-9)
         assert abs(float(chi @ v[:, -1])) == pytest.approx(1.0, abs=1e-8)
 
+    def test_callable_coupling(self):
+        # self-consistent rate functional: the steady state is an eigenvector
+        # of the matrix it produces
+        rng = np.random.default_rng(4)
+        base = random_symmetric(rng, 4)
+
+        def coupling(chi):
+            return base + np.diag(0.5 * chi**2)
+
+        chi0 = np.full(4, 0.5)
+        chi, q, steps = ground_state(chi0, coupling, dt=1e-2, tol=1e-10)
+        k = coupling(chi)
+        assert np.linalg.norm(itm_rhs(chi, k)) < 1e-10
+        w, v = np.linalg.eigh(k)
+        assert q == pytest.approx(w[-1], abs=1e-9)
+        assert abs(float(chi @ v[:, -1])) == pytest.approx(1.0, abs=1e-8)
+        assert steps > 0
+
 
 class TestValidation:
     def test_validate_coupling_reports_asymmetry(self):

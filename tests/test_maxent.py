@@ -120,6 +120,11 @@ class TestSolveLambda:
         with pytest.raises((NumericsError, InputDataError)):
             solve_lambda(1000.0 * 150.0 * (1.0 + 1e-9), 1000, 150.0)
 
+    def test_mean_far_above_floor_reports_bracket(self):
+        # the root lies below the solver's bracket at z = 1e-12
+        with pytest.raises(NumericsError, match="below the bracket"):
+            solve_lambda(1e11 * 150.0, 1, 150.0)
+
     def test_infeasible_mean(self):
         with pytest.raises(InputDataError):
             solve_lambda(100.0, 10, 50.0)
