@@ -31,6 +31,10 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_report(path: Path, metrics: dict):
+    io.write_table(path, ["metric", "value"], [list(metrics), list(metrics.values())])
+
+
 def _manifest(out: Path, args, command: str):
     # the output path carries no provenance (it is where the manifest lives)
     config = {k: v for k, v in vars(args).items()
@@ -55,21 +59,21 @@ def cmd_walkers(args) -> int:
 
     io.write_rank_table(out / "rank.csv", stats.rank_table, analytic)
     io.write_snapshot(out / "snapshot.csv", ens.populations)
-    io.write_table(out / "diagnostics.csv", ["metric", "value"], [
-        ("n", args.n),
-        ("total", args.total),
-        ("floor", args.floor),
-        ("dt", args.dt),
-        ("sigma", args.sigma),
-        ("drift", args.drift),
-        ("burn_in", args.burn_in),
-        ("sample_every", args.sample_every),
-        ("samples", args.samples),
-        ("steps", stats.step_count),
-        ("lambda_analytic", model.lam),
-        ("corr_coeff", stats.corr_coeff),
-        ("ks_distance", ks),
-    ])
+    _write_report(out / "diagnostics.csv", {
+        "n": args.n,
+        "total": args.total,
+        "floor": args.floor,
+        "dt": args.dt,
+        "sigma": args.sigma,
+        "drift": args.drift,
+        "burn_in": args.burn_in,
+        "sample_every": args.sample_every,
+        "samples": args.samples,
+        "steps": stats.step_count,
+        "lambda_analytic": model.lam,
+        "corr_coeff": stats.corr_coeff,
+        "ks_distance": ks,
+    })
     _manifest(out, args, "walkers")
     print(f"walkers: lambda_analytic={model.lam:.6g} ks={ks:.4f} "
           f"corr={stats.corr_coeff:.4g} -> {out}")
@@ -96,21 +100,21 @@ def cmd_rankfit(args) -> int:
 
     io.write_table(out / "ranks.csv",
                    ["rank", "population", "analytic_solved", "analytic_fit"],
-                   zip(data.ranks, data.populations,
-                       maxent.analytic_rank(model, data.ranks),
-                       maxent.analytic_rank(fitted_model, data.ranks)))
-    io.write_table(out / "report.csv", ["metric", "value"], [
-        ("n_raw", pops.size),
-        ("dropped_below_floor", below),
-        ("dropped_top", top),
-        ("n_effective", n_eff),
-        ("total_effective", total_eff),
-        ("x0", args.x0),
-        ("lambda_analytic", model.lam),
-        ("lambda_fit", lam_fit),
-        ("lambda_fit_stderr", stderr),
-        ("ks_distance_solved", maxent.ks_distance(kept, model)),
-    ])
+                   [data.ranks, data.populations,
+                    maxent.analytic_rank(model, data.ranks),
+                    maxent.analytic_rank(fitted_model, data.ranks)])
+    _write_report(out / "report.csv", {
+        "n_raw": pops.size,
+        "dropped_below_floor": below,
+        "dropped_top": top,
+        "n_effective": n_eff,
+        "total_effective": total_eff,
+        "x0": args.x0,
+        "lambda_analytic": model.lam,
+        "lambda_fit": lam_fit,
+        "lambda_fit_stderr": stderr,
+        "ks_distance_solved": maxent.ks_distance(kept, model),
+    })
     _manifest(out, args, "rankfit")
     print(f"rankfit: n={n_eff} lambda_analytic={model.lam:.6g} "
           f"lambda_fit={lam_fit:.6g}({stderr:.2g}) -> {out}")
@@ -124,7 +128,7 @@ def cmd_rankfit(args) -> int:
 
 def _write_degree_files(out: Path, net: network.Network):
     vals, counts = network.degree_histogram(net)
-    io.write_table(out / "degrees.csv", ["degree", "count"], zip(vals, counts))
+    io.write_table(out / "degrees.csv", ["degree", "count"], [vals, counts])
     return network.degree_loglog_slope(net)
 
 
@@ -134,15 +138,15 @@ def cmd_sfin(args) -> int:
     io.write_edges(out / "edges.csv", net)
     slope = _write_degree_files(out, net)
     comps = network.connected_component_sizes(net)
-    io.write_table(out / "report.csv", ["metric", "value"], [
-        ("nodes", net.node_count),
-        ("edges", net.edge_count),
-        ("max_degree", args.max_degree),
-        ("min_degree", args.min_degree),
-        ("degree_loglog_slope", slope),
-        ("n_components", comps.size),
-        ("largest_component", int(comps[0])),
-    ])
+    _write_report(out / "report.csv", {
+        "nodes": net.node_count,
+        "edges": net.edge_count,
+        "max_degree": args.max_degree,
+        "min_degree": args.min_degree,
+        "degree_loglog_slope": slope,
+        "n_components": comps.size,
+        "largest_component": int(comps[0]),
+    })
     _manifest(out, args, "sfin")
     print(f"sfin: {net.node_count} nodes, {net.edge_count} edges, "
           f"degree slope {slope:.3f} -> {out}")
@@ -181,28 +185,23 @@ def cmd_diffuse(args) -> int:
     io.write_processes(out / "processes.csv", procs)
     io.write_table(out / "median.csv",
                    ["iteration", "count", "median_size", "median_y", "variance_y"],
-                   ((int(t), int(c), mx, my, vy) for t, c, mx, my, vy in zip(
-                       stats["t"], stats["count"], stats["median_x"],
-                       stats["median_y"], stats["var_y"])))
-    io.write_table(out / "kernel_report.csv", ["metric", "value"], [
-        ("nodes", net.node_count),
-        ("processes", args.processes),
-        ("drift", params.drift),
-        ("diff_coeff", params.diff_coeff),
-        ("sigma", params.sigma),
-        ("y0", params.y0),
-        ("dt", params.dt),
-        ("degree_loglog_slope", slope),
-    ])
-
-    def density_rows():
-        x_grid = np.geomspace(1.0, total - 1.0, 400)
-        for t in args.density_times:
-            dens = network.kernel_density(params, x_grid, t)
-            for x, p in zip(x_grid, dens):
-                yield t, x, p
-
-    io.write_table(out / "density.csv", ["t", "x", "density"], density_rows())
+                   [stats["t"].astype(np.int64), stats["count"], stats["median_x"],
+                    stats["median_y"], stats["var_y"]])
+    _write_report(out / "kernel_report.csv", {
+        "nodes": net.node_count,
+        "processes": args.processes,
+        "drift": params.drift,
+        "diff_coeff": params.diff_coeff,
+        "sigma": params.sigma,
+        "y0": params.y0,
+        "dt": params.dt,
+        "degree_loglog_slope": slope,
+    })
+    times = args.density_times
+    x_grid = np.geomspace(1.0, total - 1.0, 400)
+    io.write_table(out / "density.csv", ["t", "x", "density"],
+                   [np.repeat(times, x_grid.size), np.tile(x_grid, len(times)),
+                    np.concatenate([network.kernel_density(params, x_grid, t) for t in times])])
     _manifest(out, args, "diffuse")
     print(f"diffuse: drift={params.drift:.4g} D={params.diff_coeff:.4g} "
           f"sigma={params.sigma:.4g} slope={slope:.3f} -> {out}")
@@ -232,9 +231,9 @@ def cmd_forecast(args) -> int:
     io.write_table(out / "fit_report.csv",
                    ["component", "is_reference", "a", "a_stderr", "b", "b_stderr",
                     "c", "c_stderr", "form"],
-                   ((name, int(i == ref), fit.a[i], fit.stderr[i, 0], fit.b[i],
-                     fit.stderr[i, 1], fit.c[i], fit.stderr[i, 2], args.form)
-                    for i, name in enumerate(series.components)))
+                   [series.components, (np.arange(len(series.components)) == ref).astype(int),
+                    fit.a, fit.stderr[:, 0], fit.b, fit.stderr[:, 1], fit.c, fit.stderr[:, 2],
+                    [args.form] * len(series.components)])
     _manifest(out, args, "forecast")
     print(f"forecast: {len(series.components)} components, "
           f"{args.horizon} months ahead -> {out}")
@@ -260,11 +259,11 @@ def cmd_itm(args) -> int:
 
     norms = np.linalg.norm(traj.states, axis=1)
     rayleighs = np.einsum("ti,ij,tj->t", traj.states, coupling, traj.states)
+    populations = itm.from_amplitude(traj.states, total)
     diagonal = bool(np.abs(coupling - np.diag(np.diag(coupling))).max() == 0.0)
     if diagonal:
         ref = closed_form(x0, np.diag(coupling), total, traj.times)
-        got = itm.from_amplitude(traj.states, total)
-        max_rel = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
+        max_rel = float(np.max(np.abs(populations - ref) / np.maximum(np.abs(ref), 1e-300)))
         equivalence_pass = max_rel < 1e-6
     else:
         max_rel = float("nan")
@@ -273,17 +272,15 @@ def cmd_itm(args) -> int:
     header = (["t"] + [f"chi_{i}" for i in range(x0.size)]
               + [f"x_{i}" for i in range(x0.size)])
     io.write_table(out / "trajectory.csv", header,
-                   ((traj.times[j], *traj.states[j],
-                     *itm.from_amplitude(traj.states[j], total))
-                    for j in range(len(traj))))
-    io.write_table(out / "report.csv", ["metric", "value"], [
-        ("diagonal", int(diagonal)),
-        ("equivalence_max_rel_error", max_rel),
-        ("equivalence_pass", int(equivalence_pass)),
-        ("norm_max_error", float(np.abs(norms - 1.0).max())),
-        ("rayleigh_initial", float(rayleighs[0])),
-        ("rayleigh_final", float(rayleighs[-1])),
-    ])
+                   [traj.times, *traj.states.T, *populations.T])
+    _write_report(out / "report.csv", {
+        "diagonal": int(diagonal),
+        "equivalence_max_rel_error": max_rel,
+        "equivalence_pass": int(equivalence_pass),
+        "norm_max_error": float(np.abs(norms - 1.0).max()),
+        "rayleigh_initial": float(rayleighs[0]),
+        "rayleigh_final": float(rayleighs[-1]),
+    })
     _manifest(out, args, "itm")
     check = "PASS" if equivalence_pass else ("n/a" if not diagonal else "FAIL")
     print(f"itm: diagonal={diagonal} equivalence={check} -> {out}")

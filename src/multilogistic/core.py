@@ -224,7 +224,12 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
         # rates at the start, middle and end of every step
         k = np.empty((n_steps, 3, x_init.size))
         for s, t in enumerate(times[:-1].tolist()):
-            k[s] = rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)
+            step = rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)
+            for r in step:
+                if r.shape != x_init.shape:
+                    raise InputDataError(f"rates_at returned shape {r.shape}, expected "
+                                         f"{x_init.shape} (one rate per population)")
+            k[s] = step
     else:
         k = rates.rates if isinstance(rates, ConstantRates) else np.asarray(rates, float)
         if k.shape != x_init.shape:

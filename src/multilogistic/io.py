@@ -1,13 +1,17 @@
 """CSV schemas and run manifests for the batch CLI.
 
-All emitters format floats with ``repr`` (shortest round-trip), so every
-file reads back bit-exactly and identical runs produce identical bytes.
-Manifests carry the full configuration, the seed, and the library versions
-of a run; they contain no timestamps on purpose.
+Tables are written column by column: each cell is ``str`` of a Python
+scalar (an ndarray column goes through ``tolist()`` first), so a float is
+its shortest round-trip ``repr``, an integer its digits, and text is quoted
+by ``csv`` where it holds a comma or quote. Every file therefore reads back
+bit-exactly and identical runs produce identical bytes. Manifests carry the
+full configuration, the seed, and the library versions of a run; they
+contain no timestamps on purpose.
 """
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +40,13 @@ __all__ = [
 ]
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
-def write_table(path, header, rows):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_table(path, header, columns):
+    """Write ``header`` and then one row per index of the equal-length ``columns``."""
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(zip(*cells, strict=True))
 
 
 def read_table(path):
@@ -125,12 +121,12 @@ def read_populations(path) -> np.ndarray:
 
 def write_rank_table(path, rank_table, analytic):
     write_table(path, ["rank", "population", "analytic"],
-                zip(rank_table.ranks, rank_table.populations, analytic))
+                [rank_table.ranks, rank_table.populations, analytic])
 
 
 def write_snapshot(path, populations):
     pops = np.asarray(populations, dtype=float)
-    write_table(path, ["walker_index", "population"], enumerate(pops))
+    write_table(path, ["walker_index", "population"], [np.arange(pops.size), pops])
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +134,52 @@ def write_snapshot(path, populations):
 # ---------------------------------------------------------------------------
 
 
+def _read_int_rows(path, header) -> np.ndarray:
+    """The rows under ``header`` as an (N, len(header)) int64 array, N >= 1."""
+    path = Path(path)
+    if not path.exists():
+        raise InputDataError(f"no such file: {path}")
+    with path.open(newline="") as fh:
+        if [h.strip().lower() for h in next(csv.reader(fh), [])] != header:
+            raise InputDataError(f"{path}: expected header '{','.join(header)}'")
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data rows; that is reported below instead
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise InputDataError(f"{path}: expected integer rows: {exc}") from exc
+    if rows.size == 0 or rows.shape[1] != len(header):
+        raise InputDataError(f"{path}: expected one or more rows of {len(header)} integers")
+    return rows
+
+
 def write_edges(path, net: Network):
-    write_table(path, ["u", "v"], net.edge_array())
+    write_table(path, ["u", "v"], net.edge_array().T)
 
 
 def read_edges(path, node_count=None) -> Network:
-    header, rows = read_table(path)
-    if [h.strip().lower() for h in header] != ["u", "v"]:
-        raise InputDataError(f"{path}: expected header 'u,v'")
-    try:
-        edges = np.asarray([[int(a), int(b)] for a, b in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise InputDataError(f"{path}: non-integer edge endpoint") from exc
+    edges = _read_int_rows(path, ["u", "v"])
     if node_count is None:
-        node_count = int(edges.max()) + 1 if edges.size else 0
+        node_count = int(edges.max()) + 1
     return Network.from_edges(node_count, edges)
 
 
 def write_processes(path, processes):
-    def rows():
-        for pid, proc in enumerate(processes):
-            for it, size in enumerate(proc.sizes):
-                yield pid, it, size
-
-    write_table(path, ["process_id", "iteration", "size"], rows())
+    sizes = [p.sizes for p in processes]
+    lengths = [s.size for s in sizes]
+    write_table(path, ["process_id", "iteration", "size"],
+                [np.repeat(np.arange(len(sizes)), lengths),
+                 np.concatenate([np.arange(m) for m in lengths]),
+                 np.concatenate(sizes)])
 
 
 def read_processes(path) -> list:
-    header, rows = read_table(path)
-    if [h.strip().lower() for h in header] != ["process_id", "iteration", "size"]:
-        raise InputDataError(f"{path}: expected header 'process_id,iteration,size'")
-    by_pid: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        try:
-            pid, it, size = int(row[0]), int(row[1]), int(row[2])
-        except (ValueError, IndexError) as exc:
-            raise InputDataError(f"{path}: line {i + 2}: bad row {row!r}") from exc
-        by_pid.setdefault(pid, []).append(size)
-    return [GrowthProcess(0, np.asarray(sizes, dtype=np.int64))
-            for _, sizes in sorted(by_pid.items())]
+    """Growth processes in process-id order; each keeps its rows in file order."""
+    rows = _read_int_rows(path, ["process_id", "iteration", "size"])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    starts = np.unique(rows[:, 0], return_index=True)[1]
+    return [GrowthProcess(0, sizes) for sizes in np.split(rows[:, 2], starts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +250,9 @@ def read_share_csv(path, epoch: str, total: float = 100.0,
 
 def write_share_series(path, series: ShareSeries, epoch: str):
     """Emit a share table readable by :func:`read_share_csv` (date first)."""
-    header = ["date", "t"] + list(series.components)
-
-    def rows():
-        for j, t in enumerate(series.times):
-            yield [month_shift(epoch, int(round(t))), t] + list(series.shares[j])
-
-    write_table(path, header, rows())
+    dates = [month_shift(epoch, round(t)) for t in series.times.tolist()]
+    write_table(path, ["date", "t", *series.components],
+                [dates, series.times, *series.shares.T])
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +274,4 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, mat):
     mat = np.asarray(mat, dtype=float)
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in np.atleast_2d(mat):
-            w.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerows(map(str, row) for row in np.atleast_2d(mat).tolist())

@@ -175,6 +175,12 @@ class TestIntegrate:
         exact = share_composition(x0, np.array([[0.0, 0.5]]), 100.0)[0]
         np.testing.assert_allclose(traj.states[-1], exact, rtol=1e-8)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_parametric_wrong_length_rejected(self, length):
+        pr = ParametricRates(exponents=lambda t: np.full(length, t))
+        with pytest.raises(InputDataError, match=rf"shape \({length},\), expected \(2,\)"):
+            integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
+
     def test_stochastic_rates_rejected(self):
         with pytest.raises(InputDataError):
             integrate(np.ones(2), StochasticRates(np.zeros(2), np.ones(2), 0.1),

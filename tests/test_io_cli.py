@@ -15,23 +15,22 @@ def read_report(path):
     return {k: v for k, v in rows}
 
 
-def write_population_csv(path, pops, with_names=True):
-    if with_names:
-        io.write_table(path, ["place_name", "population"],
-                       ((f"p{i}", v) for i, v in enumerate(pops)))
+def write_population_csv(path, pops, place="p{}"):
+    """A 'population' column, after a 'place_name' column made from ``place`` unless None."""
+    if place is None:
+        io.write_table(path, ["population"], [pops])
     else:
-        io.write_table(path, ["population"], ((v,) for v in pops))
+        io.write_table(path, ["place_name", "population"],
+                       [[place.format(i) for i in range(len(pops))], pops])
 
 
-def write_share_csv(path, epoch="2012-03", rates=(0.0, 0.1, 0.3), months=36):
+def write_share_csv(path, epoch="2012-03", rates=(0.0, 0.1, 0.3), months=36,
+                    components=("explorer", "firefox", "chrome")):
     times = np.arange(-months, 1, dtype=float)
     x0 = np.array([50.0, 30.0, 20.0])
     shares = closed_form(x0, np.asarray(rates), 100.0, times)
-    rows = [
-        [io.month_shift(epoch, int(t))] + list(shares[j])
-        for j, t in enumerate(times)
-    ]
-    io.write_table(path, ["date", "explorer", "firefox", "chrome"], rows)
+    dates = [io.month_shift(epoch, int(t)) for t in times]
+    io.write_table(path, ["date", *components], [dates, *shares.T])
 
 
 class TestIoRoundTrips:
@@ -42,11 +41,28 @@ class TestIoRoundTrips:
         assert io.month_shift("2012-03", -3) == "2011-12"
         assert io.month_shift("2012-03", 10) == "2013-01"
 
+    def test_write_table_bytes(self, tmp_path):
+        p = tmp_path / "t.csv"
+        io.write_table(p, ["name", "x", "value"], [
+            ["a", "b,c", "d", "e", "f", "g"],
+            np.array([0.1, 1e16, 1e-05, -0.0, 5e-324, 2.0]),
+            [3, np.int64(-7), np.float64(0.1), np.float64(1e16), np.int32(12), 0.5],
+        ])
+        assert p.read_bytes() == (b"name,x,value\r\n"
+                                  b"a,0.1,3\r\n"
+                                  b'"b,c",1e+16,-7\r\n'
+                                  b"d,1e-05,0.1\r\n"
+                                  b"e,-0.0,1e+16\r\n"
+                                  b"f,5e-324,12\r\n"
+                                  b"g,2.0,0.5\r\n")
+        with pytest.raises(ValueError):
+            io.write_table(p, ["x", "y"], [[1, 2], [3]])
+
     def test_populations_with_and_without_header(self, tmp_path):
         pops = np.array([1234.5, 99.0, 150.0, 8.25e5])
-        for with_names in (True, False):
-            p = tmp_path / f"pops_{with_names}.csv"
-            write_population_csv(p, pops, with_names)
+        for i, place in enumerate(("p{}", 'Town {}, "Upper" County', None)):
+            p = tmp_path / f"pops_{i}.csv"
+            write_population_csv(p, pops, place)
             np.testing.assert_array_equal(io.read_populations(p), pops)
 
     def test_malformed_population_reports_line(self, tmp_path):
@@ -77,15 +93,18 @@ class TestIoRoundTrips:
         assert [b.sizes.tolist() for b in back] == [[1, 4, 9], [1, 2]]
 
     def test_share_series_round_trip(self, tmp_path):
-        p = tmp_path / "shares.csv"
-        write_share_csv(p)
-        series = io.read_share_csv(p, "2012-03")
-        assert series.components == ("explorer", "firefox", "chrome")
-        assert series.times[-1] == 0.0
-        out = tmp_path / "again.csv"
-        io.write_share_series(out, series, epoch="2012-03")
-        again = io.read_share_csv(out, "2012-03")
-        np.testing.assert_array_equal(again.shares, series.shares)
+        for i, components in enumerate([("explorer", "firefox", "chrome"),
+                                        ("explorer", "fire,fox", "chrome")]):
+            p = tmp_path / f"shares_{i}.csv"
+            write_share_csv(p, components=components)
+            series = io.read_share_csv(p, "2012-03")
+            assert series.components == components
+            assert series.times[-1] == 0.0
+            out = tmp_path / f"again_{i}.csv"
+            io.write_share_series(out, series, epoch="2012-03")
+            again = io.read_share_csv(out, "2012-03")
+            assert again.components == components
+            np.testing.assert_array_equal(again.shares, series.shares)
 
     def test_matrix_round_trip(self, tmp_path):
         m = np.array([[0.0, 0.25], [0.25, -1.5]])
@@ -319,16 +338,25 @@ class TestBadInput:
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "-1"], "t_end"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{header_only}"], "header_only.csv"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
-            "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top"])
+            "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top",
+            "diffuse-edges-header-only", "diffuse-edges-non-integer"])
+    @pytest.mark.filterwarnings("error")
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
         io.write_matrix(matrix, np.diag([0.0, 0.4]))
         populations = tmp_path / "pops.csv"
         model = solve_lambda(6e5, 100, 150.0)
         write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
-        argv = [a.format(matrix=matrix, populations=populations) for a in argv]
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("u,v\n")
+        non_integer = tmp_path / "non_integer.csv"
+        non_integer.write_text("u,v\n0,1\n1,x\n")
+        argv = [a.format(matrix=matrix, populations=populations, header_only=header_only,
+                         non_integer=non_integer) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
