@@ -148,10 +148,31 @@ def _read_int_rows(path, header) -> np.ndarray:
         try:
             rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
-            raise InputDataError(f"{path}: expected integer rows: {exc}") from exc
+            where = _first_bad_row(path, len(header)) or f"expected integer rows: {exc}"
+            raise InputDataError(f"{path}: {where}") from exc
     if rows.size == 0 or rows.shape[1] != len(header):
         raise InputDataError(f"{path}: expected one or more rows of {len(header)} integers")
     return rows
+
+
+def _first_bad_row(path, width):
+    """'line N: bad row [...]' for the first data row that is not ``width`` integers."""
+    with Path(path).open(newline="") as fh:
+        # as in loadtxt: text from '#' on is a comment and blank rows are skipped
+        reader = csv.reader(line.split("#", 1)[0] for line in fh)
+        next(reader, None)
+        for row in reader:
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                [int(c) for c in row]
+            except ValueError:
+                pass
+            else:
+                if len(row) == width:
+                    continue
+            return f"line {reader.line_num}: bad row {row!r}"
+    return None
 
 
 def write_edges(path, net: Network):

@@ -1,4 +1,6 @@
-"""Hot inner loops, one implementation each, in numpy or plain Python.
+"""Hot inner loops, one implementation each, in numpy, plain Python or scipy.
+
+The cluster BFS is scipy's compiled unweighted Dijkstra, not a numpy loop.
 
 The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
 as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
@@ -8,8 +10,10 @@ as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-# read by perfbench/run.py; there is no compiled backend
+# read by perfbench/run.py; there is no numba backend
 USING_NUMBA = False
 
 
@@ -159,29 +163,13 @@ def bfs_layer_sizes(indptr, indices, seed):
     """Cumulative node counts within distance 0, 1, 2, ... of ``seed``.
 
     Stops when the reachable set is exhausted; the returned vector is
-    strictly increasing and starts at 1.
+    strictly increasing and starts at 1. The hop distances come from scipy's
+    compiled unweighted Dijkstra; unreachable nodes (distance inf) are dropped.
     """
     n = indptr.shape[0] - 1
-    visited = np.zeros(n, dtype=bool)
-    visited[seed] = True
-    frontier = np.array([seed], dtype=np.int64)
-    sizes = [1]
-    while frontier.size:
-        counts = indptr[frontier + 1] - indptr[frontier]
-        width = int(counts.sum())
-        if width == 0:
-            break
-        # gather indices[start:start+count] for every frontier node at once
-        offsets = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)[:-1]))
-        flat = np.repeat(indptr[frontier] - offsets, counts) + np.arange(width)
-        nbrs = indices[flat]
-        new = np.unique(nbrs[~visited[nbrs]])
-        if new.size == 0:
-            break
-        visited[new] = True
-        frontier = new
-        sizes.append(sizes[-1] + int(new.size))
-    return np.asarray(sizes, dtype=np.int64)
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    dist = dijkstra(graph, indices=int(seed), unweighted=True)
+    return np.bincount(dist[np.isfinite(dist)].astype(np.int64)).cumsum()
 
 
 # ---------------------------------------------------------------------------

@@ -141,30 +141,27 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
 
 def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
     """Remove self-loops/duplicates by degree-preserving random swaps."""
-    edges = [list(e) for e in edges]
-    n_edges = len(edges)
-    counts: Counter = Counter()
-    for a, b in edges:
-        if a != b:
-            counts[(min(a, b), max(a, b))] += 1
+    edges = np.array(edges, dtype=np.int64)
+    n_edges = edges.shape[0]
+    span = int(edges.max()) + 1
 
-    def bad_indices():
-        seen: set = set()
-        bad = []
-        for i, (a, b) in enumerate(edges):
-            if a == b:
-                bad.append(i)
-                continue
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                bad.append(i)
-            else:
-                seen.add(key)
-        return bad
+    def key(u, v):
+        return min(u, v) * span + max(u, v)
 
+    def scan():
+        # keys of the non-loop edges, and the bad edges: self-loops and repeated keys
+        lo, hi = np.sort(edges, axis=1).T
+        keys = lo * span + hi
+        repeat = np.ones(n_edges, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        return keys[lo != hi], np.flatnonzero((lo == hi) | repeat).tolist()
+
+    simple_keys, bad = scan()
+    uniq, mult = np.unique(simple_keys, return_counts=True)
+    # a Counter: a self-loop partner's absent key is decremented below
+    counts = Counter(dict(zip(uniq.tolist(), mult.tolist())))
     cap = 100 * n_edges
     attempts = 0
-    bad = bad_indices()
     while bad:
         for i in bad:
             attempts += 1
@@ -176,31 +173,31 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
             j = int(rng.integers(n_edges))
             if j == i:
                 continue
-            a, b = edges[i]
-            c, d = edges[j]
+            a, b = edges[i].tolist()
+            c, d = edges[j].tolist()
             # swap to (a, d), (c, b)
             if a == d or c == b:
                 continue
-            k1 = (min(a, d), max(a, d))
-            k2 = (min(c, b), max(c, b))
+            k1 = key(a, d)
+            k2 = key(c, b)
             if k1 == k2:
                 continue
-            old_i = (min(a, b), max(a, b)) if a != b else None
-            old_j = (min(c, d), max(c, d))
+            old_i = key(a, b) if a != b else None
+            old_j = key(c, d)
             if old_i is not None:
                 counts[old_i] -= 1
             counts[old_j] -= 1
             if counts[k1] == 0 and counts[k2] == 0:
                 counts[k1] += 1
                 counts[k2] += 1
-                edges[i] = [a, d]
-                edges[j] = [c, b]
+                edges[i] = a, d
+                edges[j] = c, b
             else:  # roll back
                 if old_i is not None:
                     counts[old_i] += 1
                 counts[old_j] += 1
-        bad = bad_indices()
-    return np.asarray(edges, dtype=np.int64)
+        bad = scan()[1]
+    return edges
 
 
 def grow_cluster(net: Network, seed_node: int) -> GrowthProcess:

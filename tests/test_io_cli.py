@@ -339,7 +339,7 @@ class TestBadInput:
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{header_only}"], "header_only.csv"),
-        (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv: line 3"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top",
@@ -363,3 +363,11 @@ class TestBadInput:
         assert err.startswith("error: ") and word in err
         # rejected before any work: nothing written
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestNumericalFailure:
+    def test_unrealizable_degrees_exit_3(self, tmp_path, capsys):
+        argv = ["sfin", "--seed", "0", "--nodes", "2", "--max-degree", "2", "--min-degree", "2"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "repair attempts" in err

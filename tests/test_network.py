@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from multilogistic import (
     GrowthProcess,
     InputDataError,
     Network,
+    NumericsError,
     fit_kernel,
     generate_sfin,
     grow_cluster,
@@ -90,6 +92,30 @@ class TestGenerateSfin:
         with pytest.raises(InputDataError):
             generate_sfin(10, 20, seed=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repair_cap(self, seed):
+        # two nodes of degree 2 can only be wired as loops or a double edge
+        with pytest.raises(NumericsError, match="not realizable as a simple graph "
+                                               "within 200 repair attempts"):
+            generate_sfin(2, 2, seed, c_min=2)
+
+    # sha256 of edge_array().tobytes(): a change here is a change of the graph
+    # stream and must be recorded as one. 40/39 and 60/30 are dense enough that
+    # the repair swaps with self-loop partners.
+    @pytest.mark.parametrize("nodes, c_max, seed, edges, digest", [
+        (300, 20, 9, 807, "76fb6134f560f540132b8ebec064823218dca95ce7e99da3257b33244401f022"),
+        (40, 39, 241, 128, "43c35c462e0b9799df4e4cf8c09e34d1ad69fec20e862e2002015b41adc8b755"),
+        (60, 30, 0, 206, "859aba1593ec360d09c59de0b591f0f86e48c556460488e2b902f5beecb8a135"),
+        (2000, 50, 13, 11495,
+         "afb146d96f064dfa2a4a15f27f2e2022f2812b0be9efbdb402e3f3f921a2400a"),
+        (20000, 100, 31, 190342,
+         "7932952189dfe8b443635316dd84ed1b5cfafa9a80ce1c865aeef13f357c865e"),
+    ])
+    def test_graph_stream_pinned(self, nodes, c_max, seed, edges, digest):
+        e = generate_sfin(nodes, c_max, seed).edge_array()
+        assert e.shape == (edges, 2)
+        assert hashlib.sha256(e.tobytes()).hexdigest() == digest
+
 
 class TestGrowCluster:
     def test_star_from_hub(self):
@@ -101,23 +127,25 @@ class TestGrowCluster:
         assert proc.sizes.tolist() == [1, 2, 3, 4, 5]
 
     def test_matches_brute_force_distances(self):
-        net = generate_sfin(300, 20, seed=9)
-        # independent oracle: set-based frontier expansion
-        for seed_node in [0, 17, 123]:
-            reached = {seed_node}
-            frontier = {seed_node}
-            expected = [1]
-            while frontier:
-                nxt = set()
-                for v in frontier:
-                    nxt.update(net.neighbors(v).tolist())
-                nxt -= reached
-                if not nxt:
-                    break
-                reached |= nxt
-                frontier = nxt
-                expected.append(len(reached))
-            assert grow_cluster(net, seed_node).sizes.tolist() == expected
+        # the second graph has degree-0 nodes and components the seed cannot reach
+        for net, seed_nodes in [(generate_sfin(300, 20, seed=9), [0, 17, 123]),
+                                (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7))]:
+            # independent oracle: set-based frontier expansion
+            for seed_node in seed_nodes:
+                reached = {seed_node}
+                frontier = {seed_node}
+                expected = [1]
+                while frontier:
+                    nxt = set()
+                    for v in frontier:
+                        nxt.update(net.neighbors(v).tolist())
+                    nxt -= reached
+                    if not nxt:
+                        break
+                    reached |= nxt
+                    frontier = nxt
+                    expected.append(len(reached))
+                assert grow_cluster(net, seed_node).sizes.tolist() == expected
 
     def test_strictly_increasing_required(self):
         with pytest.raises(InputDataError):
