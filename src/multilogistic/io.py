@@ -11,6 +11,7 @@ contain no timestamps on purpose.
 
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -155,23 +156,28 @@ def _read_int_rows(path, header) -> np.ndarray:
     return rows
 
 
+# a cell np.loadtxt reads as int64: optional whitespace and sign around decimal digits
+_INT_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
+_INT64 = np.iinfo(np.int64)
+
+
 def _first_bad_row(path, width):
-    """'line N: bad row [...]' for the first data row that is not ``width`` integers."""
-    with Path(path).open(newline="") as fh:
-        # as in loadtxt: text from '#' on is a comment and blank rows are skipped
-        reader = csv.reader(line.split("#", 1)[0] for line in fh)
-        next(reader, None)
-        for row in reader:
-            if not any(c.strip() for c in row):
+    """'line N: bad row [...]' for the first data row that is not ``width`` integers.
+
+    Follows ``np.loadtxt(dtype=int64, delimiter=",")``: text from '#' on is a
+    comment, empty rows are skipped, cells are split on ',' without quoting,
+    and each cell must match ``_INT_CELL`` and fit in int64.
+    """
+    with Path(path).open() as fh:
+        next(fh, None)
+        for number, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0].rstrip("\n")
+            if not text:
                 continue
-            try:
-                [int(c) for c in row]
-            except ValueError:
-                pass
-            else:
-                if len(row) == width:
-                    continue
-            return f"line {reader.line_num}: bad row {row!r}"
+            row = text.split(",")
+            if len(row) != width or not all(
+                    _INT_CELL.fullmatch(c) and _INT64.min <= int(c) <= _INT64.max for c in row):
+                return f"line {number}: bad row {row!r}"
     return None
 
 

@@ -1,6 +1,6 @@
 """Hot inner loops, one implementation each, in numpy, plain Python or scipy.
 
-The cluster BFS is scipy's compiled unweighted Dijkstra, not a numpy loop.
+The cluster BFS is scipy's compiled breadth-first order, not a numpy loop.
 
 The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
 as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 # read by perfbench/run.py; there is no numba backend
 USING_NUMBA = False
@@ -163,13 +163,29 @@ def bfs_layer_sizes(indptr, indices, seed):
     """Cumulative node counts within distance 0, 1, 2, ... of ``seed``.
 
     Stops when the reachable set is exhausted; the returned vector is
-    strictly increasing and starts at 1. The hop distances come from scipy's
-    compiled unweighted Dijkstra; unreachable nodes (distance inf) are dropped.
+    strictly increasing and starts at 1. ``perfbench/`` wraps this kernel by
+    name and reads ``(indptr, indices, seed)`` positionally, with ``seed`` a
+    scalar node index.
+
+    The traversal is scipy's compiled FIFO breadth-first order. In that order
+    each layer follows the one before, and the children of a node follow the
+    children of every node dequeued before it, so the parents' positions
+    along ``order[1:]`` never decrease: the layer after the one ending at
+    position ``end`` ends after the last node whose parent sits before
+    ``end``. Unreachable nodes never enter ``order``.
     """
     n = indptr.shape[0] - 1
     graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    dist = dijkstra(graph, indices=int(seed), unweighted=True)
-    return np.bincount(dist[np.isfinite(dist)].astype(np.int64)).cumsum()
+    # the graph is symmetric; directed=False would build the transpose union
+    order, parent = breadth_first_order(graph, int(seed), directed=True,
+                                        return_predecessors=True)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    parent_position = position[parent[order[1:]]]
+    sizes = [1]
+    while sizes[-1] < order.size:
+        sizes.append(1 + int(np.searchsorted(parent_position, sizes[-1])))
+    return np.array(sizes, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

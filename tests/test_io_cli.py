@@ -340,10 +340,14 @@ class TestBadInput:
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{header_only}"], "header_only.csv"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv: line 3"),
+        # int() reads these two cells, np.loadtxt does not
+        (["diffuse", *NETWORK_SMALL, "--edges", "{underscore}"], "underscore.csv: line 3"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{quoted}"], "quoted.csv: line 3"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top",
-            "diffuse-edges-header-only", "diffuse-edges-non-integer"])
+            "diffuse-edges-header-only", "diffuse-edges-non-integer",
+            "diffuse-edges-underscore", "diffuse-edges-quoted"])
     @pytest.mark.filterwarnings("error")
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
@@ -355,8 +359,13 @@ class TestBadInput:
         header_only.write_text("u,v\n")
         non_integer = tmp_path / "non_integer.csv"
         non_integer.write_text("u,v\n0,1\n1,x\n")
+        underscore = tmp_path / "underscore.csv"
+        underscore.write_text("u,v\n0,1\n1_0,2\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('u,v\n0,1\n"1",2\n')
         argv = [a.format(matrix=matrix, populations=populations, header_only=header_only,
-                         non_integer=non_integer) for a in argv]
+                         non_integer=non_integer, underscore=underscore, quoted=quoted)
+                for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from multilogistic import (
     DiffusionKernelParams,
@@ -146,6 +148,21 @@ class TestGrowCluster:
                     frontier = nxt
                     expected.append(len(reached))
                 assert grow_cluster(net, seed_node).sizes.tolist() == expected
+
+    def test_matches_hop_distances_at_reference_size(self):
+        # crit 6's graph and its first 50 seeds, then every node of crit 10's graph
+        big = generate_sfin(20000, 100, seed=31)
+        rng = np.random.Generator(np.random.Philox([31, 1]))
+        small = generate_sfin(2000, 50, seed=13)
+        for net, seed_nodes in [(big, rng.choice(largest_component_nodes(big), size=50)),
+                                (small, range(small.node_count))]:
+            n = net.node_count
+            graph = csr_matrix((np.ones(net.indices.size), net.indices, net.indptr), shape=(n, n))
+            for seed_node in seed_nodes:
+                # independent oracle: hop distances, counted per distance and cumulated
+                dist = dijkstra(graph, indices=int(seed_node), unweighted=True)
+                expected = np.bincount(dist[np.isfinite(dist)].astype(np.int64)).cumsum()
+                assert np.array_equal(grow_cluster(net, int(seed_node)).sizes, expected)
 
     def test_strictly_increasing_required(self):
         with pytest.raises(InputDataError):
