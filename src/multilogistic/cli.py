@@ -96,7 +96,7 @@ def cmd_rankfit(args) -> int:
     model = maxent.solve_lambda(total_eff, n_eff, args.x0)
     data = maxent.RankDistribution.from_sample(kept)
     lam_fit, stderr = maxent.fit_lambda(data, args.x0)
-    fitted_model = maxent.model_from_lam(lam_fit, args.x0, n_eff)
+    fitted_model = maxent.MaxEntModel(lam_fit, args.x0, n_eff)
 
     io.write_table(out / "ranks.csv",
                    ["rank", "population", "analytic_solved", "analytic_fit"],
@@ -222,7 +222,7 @@ def cmd_forecast(args) -> int:
         )
     ref = series.components.index(args.reference)
     h = growth_exponents(series, ref)
-    fit = fit_rates(series.times, h, ref, args.form, series.components)
+    fit = fit_rates(series.times, h, ref, args.form)
     future = np.arange(1, args.horizon + 1, dtype=float)
     t_out = np.unique(np.concatenate([series.times, future]))
     result = forecast(series, fit, t_out, args.n_prime_factor)

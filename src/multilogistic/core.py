@@ -8,7 +8,7 @@ correction removes the mean growth, which couples the components:
 
 For rates that are constant (or given through cumulative exponents h_i(t))
 the flow has an exact solution: exponential reweighting of the initial
-populations, renormalized to the total. ``integrate`` provides the numerical
+populations, rescaled to the total. ``integrate`` provides the numerical
 companion, ``closed_form`` the exact one.
 """
 
@@ -126,7 +126,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    total: float
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -237,7 +236,7 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     bad = kernels.integrate_constant(traj, k, total, dt)
     if bad >= 0:
         raise NumericsError(f"non-finite state encountered at step {bad}")
-    return Trajectory(times, traj, float(total))
+    return Trajectory(times, traj)
 
 
 def sigmoid(params: LogisticParams, t) -> np.ndarray | float:

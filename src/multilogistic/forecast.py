@@ -18,21 +18,21 @@ from .errors import InputDataError, NumericsError
 __all__ = ["ShareSeries", "RateFit", "growth_exponents", "fit_rates", "forecast"]
 
 _FORMS = ("exponential", "linear")
+_SUM_RTOL = 0.05  # how far a row sum may sit from the total, relative
 
 
 @dataclass(frozen=True)
 class ShareSeries:
     """Timestamped composition: shares[j, i] of component i at times[j].
 
-    Times are in months with 0 at the reference epoch; rows are expected to
-    sum to ``total`` within ``sum_rtol``.
+    Times are in months with 0 at the reference epoch; rows must sum to
+    ``total`` within 5%.
     """
 
     components: tuple
     times: np.ndarray
     shares: np.ndarray
     total: float = 100.0
-    sum_rtol: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -51,12 +51,12 @@ class ShareSeries:
             raise InputDataError("shares must be positive and finite")
         sums = self.shares.sum(axis=1)
         off = np.abs(sums - self.total) / self.total
-        if np.any(off > self.sum_rtol):
+        if np.any(off > _SUM_RTOL):
             j = int(np.argmax(off))
             raise InputDataError(
                 f"row at t={self.times[j]:g} sums to {sums[j]:g}, "
-                f"outside {self.sum_rtol:.0%} of total {self.total:g} "
-                "(renormalize the input or widen sum_rtol)"
+                f"outside {_SUM_RTOL:.0%} of total {self.total:g} "
+                "(renormalize the input)"
             )
 
     @property
@@ -69,20 +69,14 @@ class ShareSeries:
             raise InputDataError("series must contain exactly one row at t = 0")
         return int(hits[0])
 
-    def renormalized(self) -> "ShareSeries":
-        scaled = self.shares * (self.total / self.shares.sum(axis=1, keepdims=True))
-        return ShareSeries(self.components, self.times, scaled, self.total, self.sum_rtol)
 
-
-def growth_exponents(series: ShareSeries, ref_index: int = 0, printed_sign: bool = False) -> np.ndarray:
+def growth_exponents(series: ShareSeries, ref_index: int = 0) -> np.ndarray:
     """Cumulative growth exponent of every component relative to the reference.
 
     Returns a (times, components) matrix h with h[:, ref_index] identically
     zero. The sign convention makes constant-rate data come out as
     h_i(t) = (k_i - k_ref) * t, which is the convention under which
     substituting h back into the exact solution reproduces the data.
-    ``printed_sign=True`` selects the opposite (negated) convention for
-    comparison.
     """
     if not 0 <= ref_index < series.n:
         raise InputDataError("reference index out of range")
@@ -91,7 +85,7 @@ def growth_exponents(series: ShareSeries, ref_index: int = 0, printed_sign: bool
     d = logx - logx[i0]
     h = d - d[:, ref_index][:, None]
     h[:, ref_index] = 0.0
-    return -h if printed_sign else h
+    return h
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,6 @@ class RateFit:
     stderr: np.ndarray
     ref_index: int
     form: str
-    components: tuple | None = None
 
     def exponents_at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=float)[:, None]
@@ -128,8 +121,7 @@ def _lin_form(t, a, c):
     return a * t + c
 
 
-def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential",
-              components=None) -> RateFit:
+def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential") -> RateFit:
     """Least-squares fit of each non-reference exponent table.
 
     Initialization: the slope over the last three samples for a, zero for b
@@ -174,8 +166,7 @@ def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential",
                 f"rate fit for component {i} did not converge "
                 f"(best starting residual {float(np.sum(res ** 2)):.3e}): {exc}"
             ) from exc
-    return RateFit(a, b, c, err, ref_index, form,
-                   tuple(components) if components is not None else None)
+    return RateFit(a, b, c, err, ref_index, form)
 
 
 def forecast(series: ShareSeries, fit: RateFit, horizon_times,
@@ -199,5 +190,4 @@ def forecast(series: ShareSeries, fit: RateFit, horizon_times,
         raise NumericsError("fitted exponents are not finite on the horizon")
     total = n_prime_factor * series.total
     states = share_composition(x0, h, total)
-    return ShareSeries(series.components, t_out, states, total=total,
-                       sum_rtol=series.sum_rtol)
+    return ShareSeries(series.components, t_out, states, total=total)

@@ -185,11 +185,10 @@ def write_edges(path, net: Network):
     write_table(path, ["u", "v"], net.edge_array().T)
 
 
-def read_edges(path, node_count=None) -> Network:
+def read_edges(path) -> Network:
+    """The graph on nodes 0 .. max id of an edge CSV."""
     edges = _read_int_rows(path, ["u", "v"])
-    if node_count is None:
-        node_count = int(edges.max()) + 1
-    return Network.from_edges(node_count, edges)
+    return Network.from_edges(int(edges.max()) + 1, edges)
 
 
 def write_processes(path, processes):
@@ -206,43 +205,47 @@ def read_processes(path) -> list:
     rows = _read_int_rows(path, ["process_id", "iteration", "size"])
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     starts = np.unique(rows[:, 0], return_index=True)[1]
-    return [GrowthProcess(0, sizes) for sizes in np.split(rows[:, 2], starts[1:])]
+    return [GrowthProcess(sizes) for sizes in np.split(rows[:, 2], starts[1:])]
 
 
 # ---------------------------------------------------------------------------
 # share series (ISO month dates)
 # ---------------------------------------------------------------------------
 
+_SHARE_TOTAL = 100.0  # share rows are percentages
 
-def _parse_month(text: str) -> tuple[int, int]:
+
+def _month_index(text: str) -> int:
+    """Months since year 0 of a 'YYYY-MM' month; ValueError if it is not one."""
     parts = text.strip().split("-")
     if len(parts) < 2:
         raise ValueError(text)
     year, month = int(parts[0]), int(parts[1])
     if not 1 <= month <= 12:
         raise ValueError(text)
-    return year, month
+    return year * 12 + month - 1
 
 
 def month_offset(date: str, epoch: str) -> int:
     """Whole months from ``epoch`` to ``date`` (both 'YYYY-MM')."""
-    y, m = _parse_month(date)
-    ey, em = _parse_month(epoch)
-    return (y - ey) * 12 + (m - em)
+    return _month_index(date) - _month_index(epoch)
 
 
 def month_shift(epoch: str, months: int) -> str:
-    ey, em = _parse_month(epoch)
-    total = ey * 12 + (em - 1) + int(months)
+    total = _month_index(epoch) + int(months)
     return f"{total // 12:04d}-{total % 12 + 1:02d}"
 
 
-def read_share_csv(path, epoch: str, total: float = 100.0,
-                   renormalize: bool = False, sum_rtol: float = 0.05) -> ShareSeries:
+def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
     """Read 'date,<component>,...' percentage rows into a ShareSeries.
 
-    Dates are ISO months; times are month offsets from ``epoch``.
+    Dates are ISO months; times are month offsets from ``epoch``. Shares
+    are percentages; ``renormalize`` rescales every row to sum to 100.
     """
+    try:
+        epoch_index = _month_index(epoch)
+    except ValueError as exc:
+        raise InputDataError(f"bad --epoch {epoch!r}: expected a 'YYYY-MM' month") from exc
     header, rows = read_table(path)
     names = [h.strip() for h in header]
     if len(names) < 3 or names[0].lower() != "date":
@@ -258,7 +261,7 @@ def read_share_csv(path, epoch: str, total: float = 100.0,
         if not row or all(not c.strip() for c in row):
             continue
         try:
-            times.append(float(month_offset(row[0], epoch)))
+            times.append(float(_month_index(row[0]) - epoch_index))
             shares.append([float(row[j]) for j in comp_cols])
         except (ValueError, IndexError) as exc:
             raise InputDataError(f"{path}: line {i + 2}: bad row {row!r}") from exc
@@ -270,9 +273,9 @@ def read_share_csv(path, epoch: str, total: float = 100.0,
     if np.any(shares <= 0.0):
         j = int(np.argwhere(shares <= 0.0)[0][0])
         raise InputDataError(f"{path}: non-positive share in row at t={times[j]:g}")
-    series = ShareSeries(components, times, shares, total=total,
-                         sum_rtol=1.0 if renormalize else sum_rtol)
-    return series.renormalized() if renormalize else series
+    if renormalize:
+        shares = shares * (_SHARE_TOTAL / shares.sum(axis=1, keepdims=True))
+    return ShareSeries(components, times, shares, total=_SHARE_TOTAL)
 
 
 def write_share_series(path, series: ShareSeries, epoch: str):

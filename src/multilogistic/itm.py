@@ -116,7 +116,7 @@ class AmplitudeTrajectory:
 
 
 def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
-    """Fixed-step 4th-order integration, renormalized to unit norm every step.
+    """Fixed-step 4th-order integration, rescaled to unit norm every step.
 
     ``coupling`` is either a symmetric matrix or a callable chi -> matrix
     (a self-consistent rate functional), evaluated once per step and held

@@ -38,7 +38,6 @@ __all__ = [
     "analytic_rank",
     "mean_population",
     "mean_population_from",
-    "model_from_lam",
     "population_cdf",
     "ks_distance",
     "fit_lambda",
@@ -129,31 +128,28 @@ def gamma0_inverse(g):
 
 @dataclass(frozen=True)
 class MaxEntModel:
-    """Equilibrium rank-size model determined by (total, n, floor).
+    """Equilibrium rank-size model fixed by its decay constant, floor and size.
 
     ``lam`` is the decay constant per floor unit x0 (divide by x0 for a
-    per-person value); ``mu`` is the log of the normalization constant,
-    stored for completeness.
+    per-person value). The total follows from the mean-value constraint and
+    ``mu`` is the log of the normalization constant Gamma(0, lam).
     """
 
     lam: float
     x0: float
     n: int
-    total: float
-    mu: float
 
     def __post_init__(self):
         if not (self.lam > 0.0 and self.x0 > 0.0 and self.n >= 1):
             raise InputDataError("MaxEntModel requires lam > 0, x0 > 0, n >= 1")
-        mean = self.total / self.n
-        if not mean > self.x0:
-            raise InputDataError("mean population must exceed the floor x0")
-        residual = abs(mean_population_from(self.lam, self.x0) - mean)
-        if residual > 1e-6 * mean:
-            raise InputDataError(
-                f"lam does not satisfy the mean-value constraint "
-                f"(residual {residual / mean:.2e} relative)"
-            )
+
+    @property
+    def total(self) -> float:
+        return self.n * mean_population_from(self.lam, self.x0)
+
+    @property
+    def mu(self) -> float:
+        return math.log(float(exp1(self.lam)))
 
 
 def mean_population_from(lam: float, x0: float) -> float:
@@ -165,15 +161,6 @@ def mean_population_from(lam: float, x0: float) -> float:
 
 def mean_population(model: MaxEntModel) -> float:
     return mean_population_from(model.lam, model.x0)
-
-
-def model_from_lam(lam: float, x0: float, n: int) -> MaxEntModel:
-    """Model for a given decay constant, with the total implied by the constraint."""
-    return MaxEntModel(
-        lam=float(lam), x0=float(x0), n=int(n),
-        total=n * mean_population_from(float(lam), float(x0)),
-        mu=math.log(float(exp1(float(lam)))),
-    )
 
 
 def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
@@ -212,7 +199,7 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     residual = abs(phi(z) - ratio)
     if residual > 1e-10 * ratio:
         raise NumericsError(f"mean-value solve stalled at residual {residual:.3e}")
-    return MaxEntModel(lam=z, x0=x0, n=n, total=total, mu=math.log(float(exp1(z))))
+    return MaxEntModel(z, x0, n)
 
 
 def analytic_rank(model: MaxEntModel, r):
@@ -291,7 +278,7 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     history: list[float] = []
 
     def residuals(theta):
-        model = model_from_lam(float(np.exp(theta[0])), x0, n)
+        model = MaxEntModel(float(np.exp(theta[0])), x0, n)
         res = np.log(analytic_rank(model, data.ranks)) - log_data
         history.append(float(np.sum(res**2)))
         return res

@@ -19,6 +19,8 @@ from scipy.special import expit
 from . import kernels
 from .errors import InputDataError, NumericsError
 
+_MIN_PROCESSES = 30  # the fewest growth processes a kernel fit accepts
+
 __all__ = [
     "Network",
     "GrowthProcess",
@@ -45,7 +47,6 @@ class Network:
     indptr: np.ndarray
     indices: np.ndarray
     c_max: int
-    seed: int
 
     @property
     def degrees(self) -> np.ndarray:
@@ -65,7 +66,7 @@ class Network:
         return np.column_stack([src[mask], self.indices[mask]])
 
     @classmethod
-    def from_edges(cls, node_count: int, edges, c_max: int = 0, seed: int = 0) -> "Network":
+    def from_edges(cls, node_count: int, edges, c_max: int = 0) -> "Network":
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise InputDataError("edges must be an (E, 2) array")
@@ -73,26 +74,22 @@ class Network:
             raise InputDataError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise InputDataError("self-loops are not allowed")
-        both = np.vstack([edges, edges[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=node_count)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        indices = np.ascontiguousarray(both[:, 1])
-        # neighbor runs are sorted, so duplicates show up as equal neighbors
-        if indices.size > 1:
-            same_src = both[1:, 0] == both[:-1, 0]
-            if np.any(same_src & (indices[1:] == indices[:-1])):
-                raise InputDataError("duplicate edges are not allowed")
-        cm = int(c_max) if c_max else int(counts.max(initial=0))
-        return cls(node_count, indptr, indices, cm, seed)
+        # COO to CSR yields canonical form: sorted neighbors, duplicates summed
+        u, v = edges.T
+        graph = csr_matrix(
+            (np.ones(2 * u.size, dtype=np.int8), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(node_count, node_count),
+        )
+        if graph.nnz < 2 * u.size:
+            raise InputDataError("duplicate edges are not allowed")
+        cm = int(c_max) if c_max else int(np.diff(graph.indptr).max(initial=0))
+        return cls(node_count, graph.indptr, graph.indices, cm)
 
 
 @dataclass(frozen=True)
 class GrowthProcess:
     """One cluster-growth run: cumulative nodes reached per BFS iteration."""
 
-    seed_node: int
     sizes: np.ndarray
 
     def __post_init__(self):
@@ -135,8 +132,7 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
     rng.shuffle(stubs)
     edges = stubs.reshape(-1, 2)
     edges = _repair_simple(edges, rng)
-    net = Network.from_edges(node_count, edges, c_max=c_max, seed=int(seed))
-    return net
+    return Network.from_edges(node_count, edges, c_max=c_max)
 
 
 def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
@@ -200,16 +196,16 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
     return edges
 
 
-def grow_cluster(net: Network, seed_node: int) -> GrowthProcess:
-    """Breadth-first cluster growth: sizes[i] counts nodes within distance i.
+def grow_cluster(net: Network, start: int) -> GrowthProcess:
+    """Breadth-first cluster growth: sizes[i] counts nodes within distance i of ``start``.
 
     Terminates when the reachable set is exhausted; on a connected graph the
     final entry is the full node count.
     """
-    if not 0 <= seed_node < net.node_count:
-        raise InputDataError(f"seed node {seed_node} out of range")
-    sizes = kernels.bfs_layer_sizes(net.indptr, net.indices, np.int64(seed_node))
-    return GrowthProcess(int(seed_node), sizes)
+    if not 0 <= start < net.node_count:
+        raise InputDataError(f"seed node {start} out of range")
+    sizes = kernels.bfs_layer_sizes(net.indptr, net.indices, np.int64(start))
+    return GrowthProcess(sizes)
 
 
 def degree_histogram(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +215,10 @@ def degree_histogram(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return vals, counts[vals]
 
 
-def degree_loglog_slope(net: Network, lo: int = 2, hi: int | None = None) -> float:
-    """Log-log regression slope of the degree histogram over [lo, hi]."""
-    if hi is None:
-        hi = net.c_max // 2
+def degree_loglog_slope(net: Network) -> float:
+    """Log-log regression slope of the degree histogram over [2, c_max // 2]."""
     vals, counts = degree_histogram(net)
-    mask = (vals >= lo) & (vals <= hi)
+    mask = (vals >= 2) & (vals <= net.c_max // 2)
     if mask.sum() < 3:
         raise NumericsError("too few populated degree bins for a slope estimate")
     return float(np.polyfit(np.log(vals[mask]), np.log(counts[mask]), 1)[0])
@@ -274,32 +268,24 @@ def y_inverse(y, total: float):
 class DiffusionKernelParams:
     """Drift-diffusion parameters in y-space.
 
-    sigma is tied to the diffusion coefficient via sigma = sqrt(2 D / dt);
-    the constructor enforces the identity. A fit to noiseless trajectories
-    may legitimately return diff_coeff == 0 (evaluation requires > 0).
+    ``sigma`` follows from the diffusion coefficient as sqrt(2 D / dt). A fit
+    to noiseless trajectories may legitimately return diff_coeff == 0
+    (evaluation requires > 0).
     """
 
     drift: float
     diff_coeff: float
     y0: float
     total: float
-    sigma: float
-    dt: float
+    dt: float = 1.0
 
     def __post_init__(self):
         if self.diff_coeff < 0.0 or self.dt <= 0.0 or self.total <= 0.0:
             raise InputDataError("need diff_coeff >= 0, dt > 0, total > 0")
-        target = math.sqrt(2.0 * self.diff_coeff / self.dt)
-        if abs(self.sigma - target) > 1e-12 * max(target, 1.0):
-            raise InputDataError("sigma must equal sqrt(2*diff_coeff/dt)")
 
-    @classmethod
-    def from_diffusion(cls, drift, diff_coeff, y0, total, dt=1.0):
-        return cls(
-            drift=float(drift), diff_coeff=float(diff_coeff), y0=float(y0),
-            total=float(total), sigma=math.sqrt(2.0 * float(diff_coeff) / float(dt)),
-            dt=float(dt),
-        )
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(2.0 * self.diff_coeff / self.dt)
 
 
 def kernel_density(params: DiffusionKernelParams, x, t: float):
@@ -367,26 +353,20 @@ def growth_statistics(processes, total: float, dt: float = 1.0) -> dict:
     }
 
 
-def fit_kernel(
-    processes,
-    total: float,
-    dt: float = 1.0,
-    min_processes: int = 30,
-    min_fraction: float = 0.5,
-) -> DiffusionKernelParams:
+def fit_kernel(processes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
     """Extract (drift, diffusion) from an ensemble of growth processes.
 
     The per-iteration median of y gives the drift by least squares; the
     across-process variance of y grows as 2*D*t and gives the diffusion
     coefficient by a through-origin fit. Only iterations where at least
-    ``min_fraction`` of the processes are interior (see
+    half of the processes, and at least 30, are interior (see
     :func:`growth_statistics`) enter either fit.
     """
     processes = list(processes)
-    if len(processes) < min_processes:
-        raise InputDataError(f"kernel fit needs at least {min_processes} processes")
+    if len(processes) < _MIN_PROCESSES:
+        raise InputDataError(f"kernel fit needs at least {_MIN_PROCESSES} processes")
     stats = growth_statistics(processes, total, dt)
-    need = max(min_processes, int(math.ceil(min_fraction * len(processes))))
+    need = max(_MIN_PROCESSES, int(math.ceil(0.5 * len(processes))))
     usable = stats["count"] >= need
     if usable.sum() < 2:
         raise NumericsError("too few usable interior points for a kernel fit")
@@ -401,4 +381,4 @@ def fit_kernel(
     diff_coeff = max(diff_coeff, 0.0)
 
     y0 = float(med[0] - drift * t_grid[0])
-    return DiffusionKernelParams.from_diffusion(drift, diff_coeff, y0, total, dt)
+    return DiffusionKernelParams(drift, diff_coeff, y0, total, dt)

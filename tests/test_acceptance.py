@@ -129,7 +129,7 @@ def test_criterion_6_network_regime():
 
 
 def test_criterion_7_kernel_normalization():
-    params = ml.DiffusionKernelParams.from_diffusion(
+    params = ml.DiffusionKernelParams(
         3.09, 0.245, ml.y_transform(1.0, 20000.0), 20000.0, dt=1.0
     )
     worst = 0.0

@@ -29,11 +29,6 @@ class TestShareSeries:
         with pytest.raises(InputDataError):
             ShareSeries(("a", "b"), [0.0, 1.0], [[30.0, 30.0], [30.0, 30.0]])
 
-    def test_renormalized(self):
-        s = ShareSeries(("a", "b"), [0.0, 1.0], [[30.0, 30.0], [20.0, 40.0]],
-                        sum_rtol=1.0).renormalized()
-        np.testing.assert_allclose(s.shares.sum(axis=1), 100.0, rtol=1e-12)
-
     def test_needs_epoch_row(self):
         s = ShareSeries(("a", "b"), [1.0, 2.0], [[50.0, 50.0], [50.0, 50.0]])
         with pytest.raises(InputDataError):
@@ -41,8 +36,7 @@ class TestShareSeries:
 
     def test_positive_shares_required(self):
         with pytest.raises(InputDataError):
-            ShareSeries(("a", "b"), [0.0, 1.0], [[100.0, 0.0], [50.0, 50.0]],
-                        sum_rtol=1.0)
+            ShareSeries(("a", "b"), [0.0, 1.0], [[100.0, 0.0], [50.0, 50.0]])
 
     def test_times_strictly_increasing(self):
         with pytest.raises(InputDataError):
@@ -68,14 +62,6 @@ class TestGrowthExponents:
         h0 = growth_exponents(series, 0)
         h1 = growth_exponents(series, 1)
         np.testing.assert_allclose(h1, h0 - h0[:, 1][:, None], atol=1e-10)
-
-    def test_printed_sign_is_negation(self):
-        series = constant_rate_series()
-        np.testing.assert_allclose(
-            growth_exponents(series, 0, printed_sign=True),
-            -growth_exponents(series, 0),
-            atol=0,
-        )
 
 
 class TestFitRates:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -85,8 +86,7 @@ class TestIoRoundTrips:
     def test_processes_round_trip(self, tmp_path):
         from multilogistic import GrowthProcess
 
-        procs = [GrowthProcess(0, np.array([1, 4, 9])),
-                 GrowthProcess(3, np.array([1, 2]))]
+        procs = [GrowthProcess(np.array([1, 4, 9])), GrowthProcess(np.array([1, 2]))]
         p = tmp_path / "procs.csv"
         io.write_processes(p, procs)
         back = io.read_processes(p)
@@ -207,6 +207,13 @@ class TestNetworkCommands:
         procs = io.read_processes(out / "processes.csv")
         assert len(procs) == 60
 
+    def test_diffuse_processes_pinned(self, tmp_path):
+        # integers only (Philox seed draws, BFS layer sizes), so no libm dependence
+        out = tmp_path / "d"
+        assert main(["diffuse", *NETWORK_SMALL, "--processes", "40", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "processes.csv").read_bytes()).hexdigest()
+        assert digest == "33f9ae606ecff51c98f9650a3a5c298220211a70d847b10ee6bcd4135d373ee6"
+
     def test_diffuse_too_few_processes_refused(self, tmp_path):
         assert main(["diffuse", "--seed", "11", "--nodes", "500",
                      "--max-degree", "20", "--processes", "1",
@@ -250,6 +257,20 @@ class TestForecastCommand:
                      "--out", str(out)]) == 0
         _, frows = io.read_table(out / "forecast.csv")
         assert len(frows) == 13
+
+    def test_renormalize_any_row_sum(self, tmp_path):
+        src = tmp_path / "shares.csv"
+        write_share_csv(src, months=12)
+        header, rows = io.read_table(src)
+        io.write_table(src, header, [[r[0] for r in rows],
+                                     *([2.6 * float(r[j]) for r in rows] for j in (1, 2, 3))])
+        out = tmp_path / "fc"
+        assert main(["forecast", "--input", str(src), "--reference", "explorer",
+                     "--epoch", "2012-03", "--horizon", "6", "--renormalize",
+                     "--out", str(out)]) == 0
+        _, frows = io.read_table(out / "forecast.csv")
+        for r in frows:
+            assert sum(map(float, r[2:])) == pytest.approx(100.0, rel=1e-12)
 
     def test_missing_epoch_row_rejected(self, tmp_path):
         src = tmp_path / "shares.csv"
@@ -343,11 +364,17 @@ class TestBadInput:
         # int() reads these two cells, np.loadtxt does not
         (["diffuse", *NETWORK_SMALL, "--edges", "{underscore}"], "underscore.csv: line 3"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{quoted}"], "quoted.csv: line 3"),
+        # the shares file is valid: only the epoch is at fault
+        (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-13"],
+         "--epoch"),
+        (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "march"],
+         "--epoch"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
-            "diffuse-edges-underscore", "diffuse-edges-quoted"])
+            "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
+            "forecast-epoch-text"])
     @pytest.mark.filterwarnings("error")
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
@@ -363,8 +390,11 @@ class TestBadInput:
         underscore.write_text("u,v\n0,1\n1_0,2\n")
         quoted = tmp_path / "quoted.csv"
         quoted.write_text('u,v\n0,1\n"1",2\n')
+        shares = tmp_path / "s2.csv"
+        write_share_csv(shares)
         argv = [a.format(matrix=matrix, populations=populations, header_only=header_only,
-                         non_integer=non_integer, underscore=underscore, quoted=quoted)
+                         non_integer=non_integer, underscore=underscore, quoted=quoted,
+                         shares=shares)
                 for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2

@@ -16,7 +16,6 @@ from multilogistic.maxent import (
     gamma0_inverse,
     ks_distance,
     mean_population,
-    model_from_lam,
     population_cdf,
     solve_lambda,
 )
@@ -203,7 +202,7 @@ class TestFitLambda:
         assert stderr < 1e-8
 
     def test_noise_recovery_within_three_stderr(self):
-        truth = model_from_lam(0.005, 150.0, 200)
+        truth = MaxEntModel(0.005, 150.0, 200)
         clean = analytic_rank(truth, np.arange(1, 201.0))
         hits = 0
         for seed in range(100):
@@ -240,5 +239,6 @@ class TestHelpers:
             RankDistribution(np.array([1.0, 2.0]), np.array([100.0, 200.0]))
 
     def test_model_validation(self):
-        with pytest.raises(InputDataError):
-            MaxEntModel(lam=0.005, x0=150.0, n=10, total=10 * 151.0, mu=0.0)
+        for lam, x0, n in [(0.0, 150.0, 10), (0.005, -1.0, 10), (0.005, 150.0, 0)]:
+            with pytest.raises(InputDataError):
+                MaxEntModel(lam, x0, n)

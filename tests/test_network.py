@@ -130,12 +130,12 @@ class TestGrowCluster:
 
     def test_matches_brute_force_distances(self):
         # the second graph has degree-0 nodes and components the seed cannot reach
-        for net, seed_nodes in [(generate_sfin(300, 20, seed=9), [0, 17, 123]),
-                                (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7))]:
+        for net, starts in [(generate_sfin(300, 20, seed=9), [0, 17, 123]),
+                        (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7))]:
             # independent oracle: set-based frontier expansion
-            for seed_node in seed_nodes:
-                reached = {seed_node}
-                frontier = {seed_node}
+            for start in starts:
+                reached = {start}
+                frontier = {start}
                 expected = [1]
                 while frontier:
                     nxt = set()
@@ -147,28 +147,28 @@ class TestGrowCluster:
                     reached |= nxt
                     frontier = nxt
                     expected.append(len(reached))
-                assert grow_cluster(net, seed_node).sizes.tolist() == expected
+                assert grow_cluster(net, start).sizes.tolist() == expected
 
     def test_matches_hop_distances_at_reference_size(self):
         # crit 6's graph and its first 50 seeds, then every node of crit 10's graph
         big = generate_sfin(20000, 100, seed=31)
         rng = np.random.Generator(np.random.Philox([31, 1]))
         small = generate_sfin(2000, 50, seed=13)
-        for net, seed_nodes in [(big, rng.choice(largest_component_nodes(big), size=50)),
-                                (small, range(small.node_count))]:
+        for net, starts in [(big, rng.choice(largest_component_nodes(big), size=50)),
+                        (small, range(small.node_count))]:
             n = net.node_count
             graph = csr_matrix((np.ones(net.indices.size), net.indices, net.indptr), shape=(n, n))
-            for seed_node in seed_nodes:
+            for start in starts:
                 # independent oracle: hop distances, counted per distance and cumulated
-                dist = dijkstra(graph, indices=int(seed_node), unweighted=True)
+                dist = dijkstra(graph, indices=int(start), unweighted=True)
                 expected = np.bincount(dist[np.isfinite(dist)].astype(np.int64)).cumsum()
-                assert np.array_equal(grow_cluster(net, int(seed_node)).sizes, expected)
+                assert np.array_equal(grow_cluster(net, int(start)).sizes, expected)
 
     def test_strictly_increasing_required(self):
         with pytest.raises(InputDataError):
-            GrowthProcess(0, np.array([1, 2, 2, 3]))
+            GrowthProcess(np.array([1, 2, 2, 3]))
         with pytest.raises(InputDataError):
-            GrowthProcess(0, np.array([2, 3]))
+            GrowthProcess(np.array([2, 3]))
 
     def test_seed_out_of_range(self):
         with pytest.raises(InputDataError):
@@ -186,7 +186,7 @@ class TestComponents:
 class TestKernelDensity:
     @pytest.fixture(scope="module")
     def params(self):
-        return DiffusionKernelParams.from_diffusion(
+        return DiffusionKernelParams(
             REF["drift"], REF["diff_coeff"], y_transform(1.0, REF["total"]),
             REF["total"], dt=1.0,
         )
@@ -204,7 +204,7 @@ class TestKernelDensity:
         assert mass == pytest.approx(0.5, abs=1e-6)
 
     def test_small_diffusion_concentrates_on_deterministic_path(self):
-        p = DiffusionKernelParams.from_diffusion(
+        p = DiffusionKernelParams(
             REF["drift"], 1e-4, y_transform(1.0, REF["total"]), REF["total"], dt=1.0
         )
         t = 3.0
@@ -217,11 +217,11 @@ class TestKernelDensity:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_sigma_diffusion_identity(self):
-        with pytest.raises(InputDataError):
-            DiffusionKernelParams(drift=1.0, diff_coeff=0.2, y0=0.0,
-                                  total=100.0, sigma=0.1, dt=1.0)
-        p = DiffusionKernelParams.from_diffusion(1.0, 0.245, 0.0, 100.0, dt=1.0)
-        assert p.sigma == pytest.approx(math.sqrt(2 * 0.245), rel=1e-12)
+        p = DiffusionKernelParams(1.0, 0.245, 0.0, 100.0, dt=0.5)
+        assert p.sigma == pytest.approx(math.sqrt(2 * 0.245 / 0.5), rel=1e-12)
+        for diff_coeff, total, dt in [(-0.1, 100.0, 1.0), (0.2, 0.0, 1.0), (0.2, 100.0, 0.0)]:
+            with pytest.raises(InputDataError):
+                DiffusionKernelParams(1.0, diff_coeff, 0.0, total, dt)
 
     def test_boundary_rejected(self, params):
         with pytest.raises(InputDataError):
@@ -242,7 +242,7 @@ def synthetic_walk_processes(n_proc, drift, diff, total, steps, seed):
         x = np.maximum.accumulate(np.round(y_inverse(y, total)))
         x = np.maximum(x, 1.0)
         x += np.arange(steps + 1)  # enforce strict growth after rounding
-        procs.append(GrowthProcess(0, x.astype(np.int64)))
+        procs.append(GrowthProcess(x.astype(np.int64)))
     return procs
 
 
@@ -261,7 +261,7 @@ class TestFitKernel:
         t = np.arange(0, 6.0)
         x = np.round(sigmoid(p, t)).astype(np.int64)
         x = np.maximum(x, 1) + np.arange(6, dtype=np.int64)
-        procs = [GrowthProcess(0, x) for _ in range(40)]
+        procs = [GrowthProcess(x) for _ in range(40)]
         fit = fit_kernel(procs, 20000.0)
         assert fit.diff_coeff < 1e-6
 
