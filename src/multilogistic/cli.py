@@ -70,6 +70,9 @@ def cmd_walkers(args) -> int:
         "sample_every": args.sample_every,
         "samples": args.samples,
         "steps": stats.step_count,
+        "accepted_moves": stats.accepted_moves,
+        "mover_rejections": stats.mover_rejections,
+        "rescale_rejections": stats.rescale_rejections,
         "lambda_analytic": model.lam,
         "corr_coeff": stats.corr_coeff,
         "ks_distance": ks,

@@ -22,25 +22,7 @@ USING_NUMBA = False
 # ---------------------------------------------------------------------------
 
 
-def _two_smallest(x):
-    # indices and values of the two smallest entries of a list (first wins ties)
-    i1 = 0
-    i2 = 0
-    v1 = 1e308
-    v2 = 1e308
-    for i, v in enumerate(x):
-        if v < v1:
-            i2 = i1
-            v2 = v1
-            i1 = i
-            v1 = v
-        elif v < v2:
-            i2 = i
-            v2 = v
-    return i1, v1, i2, v2
-
-
-def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor):
+def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
     """Advance walkers one at a time, restoring the total after every move.
 
     Walker i proposes the multiplicative kick exp(dt*(drift_i + sigma_i*xi));
@@ -50,71 +32,74 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor):
     sample the flat measure on the constraint surface, so the ensemble
     equilibrates to the analytic rank law.
 
-    ``x`` is updated in place, also on failure. Returns -1 on success, else
-    the index of the first bad step.
+    The moves stay sequential, but each step is solved in whole-array numpy
+    passes. With the stored values a, the proposals b and d = b - a, the
+    rescale after move k is m_k = total / S_k, where S_k is the stored sum
+    before move k plus d_k: a ``cumsum`` of the accepted d_j, j < k. Move k
+    is rejected if b_k*m_k < floor, or if d_k > 0 and the smallest other
+    stored value times m_k is below the floor. Decision k depends only on
+    the decisions before it, so the step's decision vector is the unique
+    fixed point of that map. Iterating it from a guess that checks only the
+    movers settles at least one more leading decision per round and stops
+    within n + 1 rounds (the Jacobi iteration of Song et al., "Accelerating
+    Feedforward Computation via Parallel Nonlinear Equation Solving", ICML
+    2021). The ``cumsum`` rounds differently from a running product, so the
+    states differ from a one-move-at-a-time loop in the last bits only.
+    Rounds grow as the ensemble packs against the floor (total/(n*floor)
+    near 1), where upward moves wait for room made by the moves before them.
+
+    ``counts`` is a caller-owned int64 array of three; each call adds the
+    moves accepted, the moves rejected because the mover would sink below
+    the floor, and those rejected because the rescale would sink the
+    smallest other walker.
+
+    ``x`` is updated in place. Returns -1 on success, else the index of the
+    first step whose stored sum S_k is not positive and finite; ``x`` is then
+    left at the state from the start of that step.
     """
-    # The interleaved rescale rules out vectorizing the moves, so the loop
-    # runs on Python floats: reading numpy scalars one at a time costs
-    # several times more. The rescale is carried as a global multiplier
-    # (true population = mult * xs[i]) and folded back in once per step;
-    # the two smallest walkers are tracked because rescales preserve ranking.
-    xs = x.tolist()
-    n = len(xs)
-    mult = 1.0
-    s_true = 0.0
-    for a in xs:
-        s_true += a
-    i1, v1, i2, v2 = _two_smallest(xs)
-    exp = math.exp
-    isfinite = math.isfinite
-    for s in range(normals.shape[0]):
-        args = (dt * (drift + sigma * normals[s])).tolist()
-        for i in range(n):
-            a = xs[i]
-            b = a * exp(args[i])
-            s_new = s_true + mult * (b - a)
-            if not (s_new > 0.0 and isfinite(s_new)):
-                x[:] = xs
+    n = x.shape[0]
+    kick = np.empty(n + 1)   # the stored sum, then each accepted d_k
+    prior = np.empty(n + 1)  # stored sum before move k; prior[n] after the step
+    low = np.empty(n)        # smallest stored value among the walkers before k
+    low[0] = np.inf
+    after = np.empty(n)      # smallest value among the walkers after k
+    after[-1] = np.inf
+    accepted = sinks = squeezes = 0
+    try:
+        for s in range(normals.shape[0]):
+            b = x * np.exp(dt * (drift + sigma * normals[s]))
+            d = b - x
+            # a growing move shrinks every other walker, so its check covers
+            # the smallest of them too; a shrinking move only risks the mover
+            cap = np.where(d > 0.0, -np.inf, np.inf)
+            np.minimum.accumulate(x[:0:-1], out=after[-2::-1])
+            bound = np.minimum(b, np.maximum(after, cap))
+            kick[0] = x.sum()
+            # first guess: accept every move whose mover stays above the floor
+            # when all moves are accepted
+            kick[1:] = d
+            np.cumsum(kick, out=prior)
+            acc = b * (total / (prior[:n] + d)) >= floor
+            while True:
+                np.multiply(d, acc, out=kick[1:])
+                np.cumsum(kick, out=prior)
+                m = total / (prior[:n] + d)
+                stored = np.where(acc, b, x)
+                np.minimum.accumulate(stored[:-1], out=low[1:])
+                guess, acc = acc, np.minimum(bound, np.maximum(low, cap)) * m >= floor
+                if not (acc ^ guess).any():
+                    break
+            if not (m.min() > 0.0 and m.max() < np.inf):
                 return s
-            rho = total / s_new
-            m_new = mult * rho
-            if b * m_new < floor:
-                continue  # mover would sink below the floor
-            if rho < 1.0:
-                vmin = v2 if i == i1 else v1
-                if vmin * m_new < floor:
-                    continue  # rescale would sink the smallest walker
-            xs[i] = b
-            mult = m_new
-            s_true = total
-            if i == i1:
-                if b <= v2:
-                    v1 = b
-                else:
-                    i1, v1, i2, v2 = _two_smallest(xs)
-            elif i == i2:
-                if b < v1:
-                    i2, v2, i1, v1 = i1, v1, i, b
-                elif b <= v2:
-                    v2 = b
-                else:
-                    i1, v1, i2, v2 = _two_smallest(xs)
-            else:
-                if b < v1:
-                    i2, v2, i1, v1 = i1, v1, i, b
-                elif b < v2:
-                    i2, v2 = i, b
-        # fold the multiplier back in and re-sync the running sum
-        acc = 0.0
-        for q in range(n):
-            v = xs[q] * mult
-            xs[q] = v
-            acc += v
-        mult = 1.0
-        s_true = acc
-        i1, v1, i2, v2 = _two_smallest(xs)
-    x[:] = xs
-    return -1
+            x[:] = stored * (total / prior[n])
+            kept = int(np.count_nonzero(acc))
+            sunk = int(np.count_nonzero(b * m < floor))
+            accepted += kept
+            sinks += sunk
+            squeezes += n - kept - sunk
+        return -1
+    finally:
+        counts += (accepted, sinks, squeezes)
 
 
 # ---------------------------------------------------------------------------

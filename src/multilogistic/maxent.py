@@ -272,26 +272,47 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     if np.any(pops < x0 * (1.0 - 1e-9)):
         raise InputDataError("all populations must be at or above the floor x0")
     n = len(data)
+    ranks = data.ranks
     log_data = np.log(pops)
     start = solve_lambda(float(pops.sum()), n, x0).lam
 
     history: list[float] = []
 
+    def model_at(theta):
+        lam = float(np.exp(theta[0]))
+        return lam, analytic_rank(MaxEntModel(lam, x0, n), ranks)
+
     def residuals(theta):
-        model = MaxEntModel(float(np.exp(theta[0])), x0, n)
-        res = np.log(analytic_rank(model, data.ranks)) - log_data
+        res = np.log(model_at(theta)[1]) - log_data
         history.append(float(np.sum(res**2)))
         return res
 
-    sol = least_squares(residuals, x0=[math.log(start)], method="lm", xtol=1e-14)
+    def jacobian(theta):
+        # x_k = x0 z_k / lam with Gamma(0, z_k) = Gamma(0, lam) r_k / n, so
+        # d log x_k / d log lam = (r_k / n) exp(z_k - lam) - 1
+        lam, x = model_at(theta)
+        return ((ranks / n) * np.exp(lam * (x / x0 - 1.0)) - 1.0)[:, None]
+
+    sol = least_squares(residuals, x0=[math.log(start)], jac=jacobian, method="lm",
+                        xtol=1e-14)
     if not sol.success:
         raise NumericsError(
             f"rank-law fit did not converge; residual history tail {history[-5:]}"
         )
-    lam = float(np.exp(sol.x[0]))
+    # The cost is flat to rounding near its minimum, so the fit can stop about
+    # 1e-9 short in log lam. One Newton step on the stationarity condition
+    # sum_k res_k J_k = 0, whose value is accurate to rounding, resolves it.
+    # With e = J + 1 and z = lam x / x0: dJ_k / d log lam = e_k (e_k z_k - lam).
+    jac = sol.jac[:, 0]
+    jtj = float(jac @ jac)
+    e = jac + 1.0
+    z = float(np.exp(sol.x[0])) * np.exp(log_data + sol.fun) / x0
+    curvature = jtj + float(sol.fun @ (e * (e * z - np.exp(sol.x[0]))))
+    if not curvature > 0.0:
+        raise NumericsError(f"rank-law fit ended off a minimum (curvature {curvature:.3g})")
+    lam = float(np.exp(sol.x[0] - sol.grad[0] / curvature))
     dof = max(n - 1, 1)
     s2 = 2.0 * sol.cost / dof
-    jtj = float((sol.jac.T @ sol.jac).item())
     stderr_theta = math.sqrt(s2 / jtj) if jtj > 0.0 else float("inf")
     return lam, lam * stderr_theta
 

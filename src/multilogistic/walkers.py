@@ -4,7 +4,10 @@ Each walker is a population under proportional growth: a move multiplies
 x_i by exp(dt*(drift_i + sigma_i*xi)), one walker at a time, and the whole
 ensemble is rescaled at once so the total population stays pinned. A move
 that would leave any population below the floor is rejected outright. Long
-runs equilibrate to the rank-size law solved in :mod:`.maxent`.
+runs equilibrate to the rank-size law solved in :mod:`.maxent`. The kernel
+keeps that sequential rule but solves each step's accept/reject decisions
+together in numpy, as the fixed point described in
+:func:`.kernels.advance_walkers_seq`.
 
 A single ensemble mutates its own state and is not thread-safe; independent
 ensembles (distinct seeds) can run in parallel freely. The noise stream
@@ -31,11 +34,14 @@ _CHUNK_STEPS = 4096  # normals buffer: chunk * n doubles
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Summary of an equilibrated run."""
+    """Summary of an equilibrated run; the move counts cover every step."""
 
     rank_table: RankDistribution
     corr_coeff: float
     step_count: int
+    accepted_moves: int
+    mover_rejections: int    # the mover would have sunk below the floor
+    rescale_rejections: int  # the rescale would have sunk the smallest other walker
 
 
 class WalkerEnsemble:
@@ -78,6 +84,8 @@ class WalkerEnsemble:
         if np.any(self.x < self.floor * (1.0 - 1e-12)):
             raise InputDataError("initial populations infeasible after normalization")
         self.step_count = 0
+        # accepted moves, mover rejections, rescale rejections
+        self.move_counts = np.zeros(3, dtype=np.int64)
 
     @classmethod
     def uniform(cls, n, total, floor, dt, sigma, drift=0.0, seed=0):
@@ -124,7 +132,7 @@ class WalkerEnsemble:
             normals = self._rng.standard_normal((chunk, self.n))
             bad = kernels.advance_walkers_seq(
                 self.x, normals, self.drift, self.sigma,
-                self.dt, self.total, self.floor,
+                self.dt, self.total, self.floor, self.move_counts,
             )
             if bad >= 0:
                 raise NumericsError(
@@ -165,7 +173,8 @@ class WalkerEnsemble:
             )
         except NumericsError:
             corr = float("nan")
-        return EnsembleStats(rank_table, corr, self.step_count)
+        return EnsembleStats(rank_table, corr, self.step_count,
+                             *(int(c) for c in self.move_counts))
 
 
 def scale_invariance_corr(u_snapshots, dt: float) -> float:

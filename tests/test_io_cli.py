@@ -131,6 +131,9 @@ class TestWalkersCommand:
         model = solve_lambda(360000.0, 60, 150.0)
         assert float(diag["lambda_analytic"]) == pytest.approx(model.lam, rel=1e-12)
         assert "ks_distance" in diag and "corr_coeff" in diag
+        moves = [int(diag[k]) for k in
+                 ("accepted_moves", "mover_rejections", "rescale_rejections")]
+        assert sum(moves) == int(diag["steps"]) * 60
 
     def test_single_walker_rejected(self, tmp_path):
         code = main(["walkers", "--seed", "1", "--n", "1",

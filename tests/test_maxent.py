@@ -214,6 +214,17 @@ class TestFitLambda:
                 hits += 1
         assert hits >= 90
 
+    def test_resolves_lambda_to_rounding(self):
+        # scaling a noisy 1000-place sample by 1 +- 1e-15 moves the optimum by
+        # about 1e-15; the fit must follow it, not stop where the cost flattens
+        model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
+        clean = analytic_rank(model, np.arange(1, 1001.0))
+        noisy = clean * (1.0 + 0.05 * np.random.default_rng(3).standard_normal(1000))
+        pops = np.maximum(noisy, REF_X0)
+        lams = [fit_lambda(RankDistribution.from_sample(pops * f), REF_X0)[0]
+                for f in (1.0 - 1e-15, 1.0, 1.0 + 1e-15)]
+        assert max(lams) - min(lams) < 1e-12 * lams[1]
+
     def test_requires_enough_entries(self):
         with pytest.raises(InputDataError):
             fit_lambda(RankDistribution(np.arange(1, 5.0), np.full(4, 200.0)), 150.0)
