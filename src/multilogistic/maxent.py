@@ -303,11 +303,12 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     # 1e-9 short in log lam. One Newton step on the stationarity condition
     # sum_k res_k J_k = 0, whose value is accurate to rounding, resolves it.
     # With e = J + 1 and z = lam x / x0: dJ_k / d log lam = e_k (e_k z_k - lam).
+    lam = float(np.exp(sol.x[0]))
     jac = sol.jac[:, 0]
     jtj = float(jac @ jac)
     e = jac + 1.0
-    z = float(np.exp(sol.x[0])) * np.exp(log_data + sol.fun) / x0
-    curvature = jtj + float(sol.fun @ (e * (e * z - np.exp(sol.x[0]))))
+    z = lam * np.exp(log_data + sol.fun) / x0
+    curvature = jtj + float(sol.fun @ (e * (e * z - lam)))
     if not curvature > 0.0:
         raise NumericsError(f"rank-law fit ended off a minimum (curvature {curvature:.3g})")
     lam = float(np.exp(sol.x[0] - sol.grad[0] / curvature))

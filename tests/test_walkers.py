@@ -108,13 +108,6 @@ class TestRunToEquilibrium:
         assert stats.step_count == 100 + 1 + 3 * 5
         assert -1.0 <= stats.corr_coeff <= 1.0
 
-    def test_move_counts_cover_every_move(self):
-        ens = WalkerEnsemble.uniform(40, 4e4, 150.0, 0.03, sigma=1.0, seed=10)
-        stats = ens.run_to_equilibrium(100, 5, 4)
-        counts = (stats.accepted_moves, stats.mover_rejections, stats.rescale_rejections)
-        assert sum(counts) == stats.step_count * ens.n
-        assert stats.accepted_moves > 0
-
 
 class TestScaleInvarianceCorr:
     def test_constructed_positive_control(self):
