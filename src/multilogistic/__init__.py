@@ -41,7 +41,6 @@ from .maxent import (
 )
 from .network import (
     DiffusionKernelParams,
-    GrowthProcess,
     Network,
     fit_kernel,
     generate_sfin,

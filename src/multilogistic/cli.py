@@ -178,14 +178,14 @@ def cmd_diffuse(args) -> int:
     pool = network.largest_component_nodes(net)
     rng = np.random.Generator(np.random.Philox([args.seed, 1]))
     seeds = rng.choice(pool, size=args.processes, replace=True)
-    procs = [network.grow_cluster(net, int(s)) for s in seeds]
+    sizes = network.grow_cluster(net, seeds)
 
     total = float(net.node_count)
-    params = network.fit_kernel(procs, total)
-    stats = network.growth_statistics(procs, total)
+    params = network.fit_kernel(sizes, total)
+    stats = network.growth_statistics(sizes, total)
     slope = _write_degree_files(out, net)
 
-    io.write_processes(out / "processes.csv", procs)
+    io.write_processes(out / "processes.csv", sizes)
     io.write_table(out / "median.csv",
                    ["iteration", "count", "median_size", "median_y", "variance_y"],
                    [stats["t"].astype(np.int64), stats["count"], stats["median_x"],

@@ -11,7 +11,6 @@ contain no timestamps on purpose.
 
 import csv
 import json
-import re
 import warnings
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import InputDataError
 from .forecast import ShareSeries
-from .network import GrowthProcess, Network
+from .network import Network, _growing, _pad_processes
 
 __all__ = [
     "write_table",
@@ -135,49 +134,47 @@ def write_snapshot(path, populations):
 # ---------------------------------------------------------------------------
 
 
-def _read_int_rows(path, header) -> np.ndarray:
-    """The rows under ``header`` as an (N, len(header)) int64 array, N >= 1."""
+def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
+    """The rows under ``header`` (None: a file without one) as an (N, W) array, N >= 1."""
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        if [h.strip().lower() for h in next(csv.reader(fh), [])] != header:
-            raise InputDataError(f"{path}: expected header '{','.join(header)}'")
+    if header:
+        with path.open(newline="") as fh:
+            if [h.strip().lower() for h in next(csv.reader(fh), [])] != header:
+                raise InputDataError(f"{path}: expected header '{','.join(header)}'")
     with warnings.catch_warnings():
         # loadtxt warns on a file without data rows; that is reported below instead
         warnings.simplefilter("ignore", UserWarning)
         try:
-            rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1 if header else 0,
+                              ndmin=2)
         except ValueError as exc:
-            where = _first_bad_row(path, len(header)) or f"expected integer rows: {exc}"
-            raise InputDataError(f"{path}: {where}") from exc
-    if rows.size == 0 or rows.shape[1] != len(header):
-        raise InputDataError(f"{path}: expected one or more rows of {len(header)} integers")
+            raise InputDataError(f"{path}: {_first_bad_row(path, header, dtype) or exc}") from exc
+    if rows.size == 0 or header and rows.shape[1] != len(header):
+        width = f"{len(header)} " if header else ""
+        raise InputDataError(f"{path}: expected one or more rows of {width}{dtype.__name__} values")
     return rows
 
 
-# a cell np.loadtxt reads as int64: optional whitespace and sign around decimal digits
-_INT_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
-_INT64 = np.iinfo(np.int64)
+def _first_bad_row(path, header, dtype):
+    """'line N: bad row ...' for the first data row that np.loadtxt cannot read on its own.
 
-
-def _first_bad_row(path, width):
-    """'line N: bad row [...]' for the first data row that is not ``width`` integers.
-
-    Follows ``np.loadtxt(dtype=int64, delimiter=",")``: text from '#' on is a
-    comment, empty rows are skipped, cells are split on ',' without quoting,
-    and each cell must match ``_INT_CELL`` and fit in int64.
+    A row is bad if loadtxt rejects it, or if its width differs from the
+    header's (without a header, from the first data row's).
     """
+    width = len(header) if header else None
     with Path(path).open() as fh:
-        next(fh, None)
-        for number, line in enumerate(fh, start=2):
-            text = line.split("#", 1)[0].rstrip("\n")
-            if not text:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 and header:
                 continue
-            row = text.split(",")
-            if len(row) != width or not all(
-                    _INT_CELL.fullmatch(c) and _INT64.min <= int(c) <= _INT64.max for c in row):
-                return f"line {number}: bad row {row!r}"
+            try:
+                row = np.loadtxt([line], dtype=dtype, delimiter=",", ndmin=1)
+            except ValueError:
+                return f"line {number}: bad row {line.rstrip()!r}"
+            width = width or row.size  # comments and blank lines are empty
+            if row.size not in (0, width):
+                return f"line {number}: bad row {line.rstrip()!r}"
     return None
 
 
@@ -187,25 +184,23 @@ def write_edges(path, net: Network):
 
 def read_edges(path) -> Network:
     """The graph on nodes 0 .. max id of an edge CSV."""
-    edges = _read_int_rows(path, ["u", "v"])
+    edges = _read_rows(path, ["u", "v"])
     return Network.from_edges(int(edges.max()) + 1, edges)
 
 
-def write_processes(path, processes):
-    sizes = [p.sizes for p in processes]
-    lengths = [s.size for s in sizes]
+def write_processes(path, sizes):
+    """One row per point of a (k, L) sizes array: the first, and each larger than the last."""
+    sizes = np.asarray(sizes)
+    pid, iteration = np.nonzero(np.pad(_growing(sizes), ((0, 0), (1, 0)), constant_values=True))
     write_table(path, ["process_id", "iteration", "size"],
-                [np.repeat(np.arange(len(sizes)), lengths),
-                 np.concatenate([np.arange(m) for m in lengths]),
-                 np.concatenate(sizes)])
+                [pid, iteration, sizes[pid, iteration]])
 
 
-def read_processes(path) -> list:
-    """Growth processes in process-id order; each keeps its rows in file order."""
-    rows = _read_int_rows(path, ["process_id", "iteration", "size"])
+def read_processes(path) -> np.ndarray:
+    """The (k, L) sizes array of the processes in process-id order, rows in file order."""
+    rows = _read_rows(path, ["process_id", "iteration", "size"])
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    starts = np.unique(rows[:, 0], return_index=True)[1]
-    return [GrowthProcess(sizes) for sizes in np.split(rows[:, 2], starts[1:])]
+    return _pad_processes(rows[:, 2], np.unique(rows[:, 0], return_counts=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +286,7 @@ def write_share_series(path, series: ShareSeries, epoch: str):
 
 
 def read_matrix(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"no such file: {path}")
-    try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InputDataError(f"{path}: not a dense numeric CSV: {exc}") from exc
-    return mat
+    return _read_rows(path, None, float)
 
 
 def write_matrix(path, mat):

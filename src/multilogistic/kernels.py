@@ -66,37 +66,39 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
     after[-1] = np.inf
     accepted = sinks = squeezes = 0
     try:
-        for s in range(normals.shape[0]):
-            b = x * np.exp(dt * (drift + sigma * normals[s]))
-            d = b - x
-            # a growing move shrinks every other walker, so its check covers
-            # the smallest of them too; a shrinking move only risks the mover
-            cap = np.where(d > 0.0, -np.inf, np.inf)
-            np.minimum.accumulate(x[:0:-1], out=after[-2::-1])
-            bound = np.minimum(b, np.maximum(after, cap))
-            kick[0] = x.sum()
-            # first guess: accept every move whose mover stays above the floor
-            # when all moves are accepted
-            kick[1:] = d
-            np.cumsum(kick, out=prior)
-            acc = b * (total / (prior[:n] + d)) >= floor
-            while True:
-                np.multiply(d, acc, out=kick[1:])
+        # a step that overflows passes inf and nan on to the failure it returns
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(normals.shape[0]):
+                b = x * np.exp(dt * (drift + sigma * normals[s]))
+                d = b - x
+                # a growing move shrinks every other walker, so its check covers
+                # the smallest of them too; a shrinking move only risks the mover
+                cap = np.where(d > 0.0, -np.inf, np.inf)
+                np.minimum.accumulate(x[:0:-1], out=after[-2::-1])
+                bound = np.minimum(b, np.maximum(after, cap))
+                kick[0] = x.sum()
+                # first guess: accept every move whose mover stays above the floor
+                # when all moves are accepted
+                kick[1:] = d
                 np.cumsum(kick, out=prior)
-                m = total / (prior[:n] + d)
-                stored = np.where(acc, b, x)
-                np.minimum.accumulate(stored[:-1], out=low[1:])
-                guess, acc = acc, np.minimum(bound, np.maximum(low, cap)) * m >= floor
-                if not (acc ^ guess).any():
-                    break
-            if not (m.min() > 0.0 and m.max() < np.inf):
-                return s
-            x[:] = stored * (total / prior[n])
-            kept = int(np.count_nonzero(acc))
-            sunk = int(np.count_nonzero(b * m < floor))
-            accepted += kept
-            sinks += sunk
-            squeezes += n - kept - sunk
+                acc = b * (total / (prior[:n] + d)) >= floor
+                while True:
+                    np.multiply(d, acc, out=kick[1:])
+                    np.cumsum(kick, out=prior)
+                    m = total / (prior[:n] + d)
+                    stored = np.where(acc, b, x)
+                    np.minimum.accumulate(stored[:-1], out=low[1:])
+                    guess, acc = acc, np.minimum(bound, np.maximum(low, cap)) * m >= floor
+                    if not (acc ^ guess).any():
+                        break
+                if not (m.min() > 0.0 and m.max() < np.inf):
+                    return s
+                x[:] = stored * (total / prior[n])
+                kept = int(np.count_nonzero(acc))
+                sunk = int(np.count_nonzero(b * m < floor))
+                accepted += kept
+                sinks += sunk
+                squeezes += n - kept - sunk
         return -1
     finally:
         counts += (accepted, sinks, squeezes)

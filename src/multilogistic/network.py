@@ -23,7 +23,6 @@ _MIN_PROCESSES = 30  # the fewest growth processes a kernel fit accepts
 
 __all__ = [
     "Network",
-    "GrowthProcess",
     "DiffusionKernelParams",
     "generate_sfin",
     "grow_cluster",
@@ -84,20 +83,6 @@ class Network:
             raise InputDataError("duplicate edges are not allowed")
         cm = int(c_max) if c_max else int(np.diff(graph.indptr).max(initial=0))
         return cls(node_count, graph.indptr, graph.indices, cm)
-
-
-@dataclass(frozen=True)
-class GrowthProcess:
-    """One cluster-growth run: cumulative nodes reached per BFS iteration."""
-
-    sizes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
-        if self.sizes.size == 0 or self.sizes[0] != 1:
-            raise InputDataError("growth starts from a single seed node")
-        if np.any(np.diff(self.sizes) <= 0):
-            raise InputDataError("cluster sizes must be strictly increasing")
 
 
 def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Network:
@@ -196,16 +181,44 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
     return edges
 
 
-def grow_cluster(net: Network, start: int) -> GrowthProcess:
-    """Breadth-first cluster growth: sizes[i] counts nodes within distance i of ``start``.
+def grow_cluster(net: Network, starts) -> np.ndarray:
+    """Breadth-first cluster growth from each node of the 1-D ``starts``.
 
-    Terminates when the reachable set is exhausted; on a connected graph the
-    final entry is the full node count.
+    Returns a (k, L) int64 array: sizes[i, j] counts the nodes within
+    distance j of ``starts[i]``. A row repeats its final size once the
+    reachable set is exhausted; on a connected graph that is the node count.
     """
-    if not 0 <= start < net.node_count:
-        raise InputDataError(f"seed node {start} out of range")
-    sizes = kernels.bfs_layer_sizes(net.indptr, net.indices, np.int64(start))
-    return GrowthProcess(sizes)
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1 or not starts.size or np.any((starts < 0) | (starts >= net.node_count)):
+        raise InputDataError(f"need a 1-D array of seed nodes in [0, {net.node_count})")
+    sizes = [kernels.bfs_layer_sizes(net.indptr, net.indices, s) for s in starts]
+    return _pad_processes(np.concatenate(sizes), np.array([z.size for z in sizes]))
+
+
+def _pad_processes(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The (k, L) sizes array of k processes stored back to back in ``values``.
+
+    Process i, the ``lengths[i]`` values after those of processes 0 .. i-1,
+    must start at 1 and grow strictly; its row repeats its final size.
+    """
+    firsts = np.cumsum(lengths) - lengths
+    sizes = values[firsts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)]
+    if np.any(_growing(sizes).sum(axis=1) != lengths - 1):
+        raise InputDataError("cluster sizes must be strictly increasing")
+    return sizes
+
+
+def _growing(sizes: np.ndarray) -> np.ndarray:
+    """The (k, L-1) mask of the points of a (k, L) sizes array whose next size is larger.
+
+    Every row must start at 1 and grow strictly until it stops growing.
+    """
+    if sizes.ndim != 2 or sizes.size == 0 or np.any(sizes[:, 0] != 1):
+        raise InputDataError("need a (k, L) sizes array whose rows start at 1 (one seed node)")
+    grows = sizes[:, 1:] > sizes[:, :-1]
+    if np.any(sizes[:, 1:] < sizes[:, :-1]) or np.any(grows[:, 1:] > grows[:, :-1]):
+        raise InputDataError("cluster sizes must grow strictly until they stop")
+    return grows
 
 
 def degree_histogram(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -308,29 +321,22 @@ def kernel_density(params: DiffusionKernelParams, x, t: float):
     return float(dens) if np.ndim(x) == 0 else dens
 
 
-def growth_statistics(processes, total: float, dt: float = 1.0) -> dict:
+def growth_statistics(sizes, total: float, dt: float = 1.0) -> dict:
     """Per-iteration ensemble statistics of growth processes in y-space.
 
-    A point counts as interior while its process is still growing: strictly
-    before the final recorded iteration (the arrival point, where the
-    exhausted cluster stops moving, is censored like any first-passage
+    ``sizes`` is a (k, L) array of cumulative cluster sizes, as returned by
+    :func:`grow_cluster`: every row starts at 1, grows strictly and then
+    repeats its final size. A point counts as interior while its process is
+    still growing: where the next size is larger (the arrival point, where
+    the exhausted cluster stops moving, is censored like any first-passage
     sample) and below saturation (x < total, where y is defined). Returns
     arrays keyed by ``t``, ``count`` (interior processes), ``median_x``,
     ``median_y`` and ``var_y``.
     """
-    processes = list(processes)
-    if not processes:
-        raise InputDataError("no growth processes given")
-    n_proc = len(processes)
-    length = max(p.sizes.size for p in processes)
-    x = np.empty((n_proc, length))
-    live = np.zeros((n_proc, length), dtype=bool)
-    for i, p in enumerate(processes):
-        m = p.sizes.size
-        x[i, :m] = p.sizes
-        x[i, m:] = p.sizes[-1]
-        live[i, :m - 1] = True
-    live &= x < total  # y undefined at and beyond saturation
+    sizes = np.asarray(sizes)
+    x = sizes.astype(float)
+    live = np.pad(_growing(sizes), ((0, 0), (0, 1))) & (x < total)  # y undefined from total on
+    length = x.shape[1]
 
     count = live.sum(axis=0)
     med_x = np.full(length, np.nan)
@@ -353,8 +359,8 @@ def growth_statistics(processes, total: float, dt: float = 1.0) -> dict:
     }
 
 
-def fit_kernel(processes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
-    """Extract (drift, diffusion) from an ensemble of growth processes.
+def fit_kernel(sizes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
+    """Extract (drift, diffusion) from a (k, L) array of growth processes.
 
     The per-iteration median of y gives the drift by least squares; the
     across-process variance of y grows as 2*D*t and gives the diffusion
@@ -362,11 +368,10 @@ def fit_kernel(processes, total: float, dt: float = 1.0) -> DiffusionKernelParam
     half of the processes, and at least 30, are interior (see
     :func:`growth_statistics`) enter either fit.
     """
-    processes = list(processes)
-    if len(processes) < _MIN_PROCESSES:
+    stats = growth_statistics(sizes, total, dt)
+    if len(sizes) < _MIN_PROCESSES:
         raise InputDataError(f"kernel fit needs at least {_MIN_PROCESSES} processes")
-    stats = growth_statistics(processes, total, dt)
-    need = max(_MIN_PROCESSES, int(math.ceil(0.5 * len(processes))))
+    need = max(_MIN_PROCESSES, int(math.ceil(0.5 * len(sizes))))
     usable = stats["count"] >= need
     if usable.sum() < 2:
         raise NumericsError("too few usable interior points for a kernel fit")

@@ -84,13 +84,13 @@ class TestIoRoundTrips:
         assert np.array_equal(back.edge_array(), net.edge_array())
 
     def test_processes_round_trip(self, tmp_path):
-        from multilogistic import GrowthProcess
-
-        procs = [GrowthProcess(np.array([1, 4, 9])), GrowthProcess(np.array([1, 2]))]
+        # processes [1, 4, 9] and [1, 2]; the shorter row repeats its final size
+        sizes = np.array([[1, 4, 9], [1, 2, 2]])
         p = tmp_path / "procs.csv"
-        io.write_processes(p, procs)
+        io.write_processes(p, sizes)
+        assert p.read_text().splitlines()[1:] == ["0,0,1", "0,1,4", "0,2,9", "1,0,1", "1,1,2"]
         back = io.read_processes(p)
-        assert [b.sizes.tolist() for b in back] == [[1, 4, 9], [1, 2]]
+        assert back.dtype == np.int64 and back.tolist() == [[1, 4, 9], [1, 2, 2]]
 
     def test_share_series_round_trip(self, tmp_path):
         for i, components in enumerate([("explorer", "firefox", "chrome"),
@@ -361,6 +361,10 @@ class TestBadInput:
          "density_times"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "-1"], "t_end"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
+        (["itm", "--matrix", "{matrix_empty}", "--initial", "50,50"],
+         "matrix_empty.csv: expected one or more rows"),
+        (["itm", "--matrix", "{matrix_non_numeric}", "--initial", "50,50"],
+         "matrix_non_numeric.csv: line 2"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{header_only}"], "header_only.csv"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv: line 3"),
@@ -374,7 +378,8 @@ class TestBadInput:
          "--epoch"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
-            "diffuse-density-inf", "itm-t-end", "itm-dt", "rankfit-drop-top",
+            "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-matrix-empty",
+            "itm-matrix-non-numeric", "rankfit-drop-top",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
             "forecast-epoch-text"])
@@ -382,6 +387,10 @@ class TestBadInput:
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
         io.write_matrix(matrix, np.diag([0.0, 0.4]))
+        matrix_empty = tmp_path / "matrix_empty.csv"
+        matrix_empty.write_text("")
+        matrix_non_numeric = tmp_path / "matrix_non_numeric.csv"
+        matrix_non_numeric.write_text("0.0,0.1\n0.1,x\n")
         populations = tmp_path / "pops.csv"
         model = solve_lambda(6e5, 100, 150.0)
         write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
@@ -395,9 +404,10 @@ class TestBadInput:
         quoted.write_text('u,v\n0,1\n"1",2\n')
         shares = tmp_path / "s2.csv"
         write_share_csv(shares)
-        argv = [a.format(matrix=matrix, populations=populations, header_only=header_only,
-                         non_integer=non_integer, underscore=underscore, quoted=quoted,
-                         shares=shares)
+        argv = [a.format(matrix=matrix, matrix_empty=matrix_empty,
+                         matrix_non_numeric=matrix_non_numeric, populations=populations,
+                         header_only=header_only, non_integer=non_integer,
+                         underscore=underscore, quoted=quoted, shares=shares)
                 for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
@@ -413,3 +423,11 @@ class TestNumericalFailure:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "repair attempts" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_walker_step_exit_3(self, tmp_path, capsys):
+        argv = ["walkers", "--seed", "1", "--n", "20", "--total", "60000", "--sigma", "1e4",
+                "--burn-in", "5", "--sample-every", "1", "--samples", "2"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")

@@ -9,7 +9,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from multilogistic import (
     DiffusionKernelParams,
-    GrowthProcess,
     InputDataError,
     Network,
     NumericsError,
@@ -121,19 +120,19 @@ class TestGenerateSfin:
 
 class TestGrowCluster:
     def test_star_from_hub(self):
-        proc = grow_cluster(star_network(50), 0)
-        assert proc.sizes.tolist() == [1, 50]
+        assert grow_cluster(star_network(50), [0]).tolist() == [[1, 50]]
 
     def test_path_from_end(self):
-        proc = grow_cluster(path_network(5), 0)
-        assert proc.sizes.tolist() == [1, 2, 3, 4, 5]
+        assert grow_cluster(path_network(5), [0]).tolist() == [[1, 2, 3, 4, 5]]
 
     def test_matches_brute_force_distances(self):
         # the second graph has degree-0 nodes and components the seed cannot reach
         for net, starts in [(generate_sfin(300, 20, seed=9), [0, 17, 123]),
                         (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7))]:
+            sizes = grow_cluster(net, starts)  # one batch, padded to its longest row
+            assert sizes.shape[0] == len(starts)
             # independent oracle: set-based frontier expansion
-            for start in starts:
+            for start, row in zip(starts, sizes):
                 reached = {start}
                 frontier = {start}
                 expected = [1]
@@ -147,7 +146,9 @@ class TestGrowCluster:
                     reached |= nxt
                     frontier = nxt
                     expected.append(len(reached))
-                assert grow_cluster(net, start).sizes.tolist() == expected
+                # the row repeats its final size after the cluster stops growing
+                padded = expected + expected[-1:] * (sizes.shape[1] - len(expected))
+                assert row.tolist() == padded
 
     def test_matches_hop_distances_at_reference_size(self):
         # crit 6's graph and its first 50 seeds, then every node of crit 10's graph
@@ -158,21 +159,31 @@ class TestGrowCluster:
                         (small, range(small.node_count))]:
             n = net.node_count
             graph = csr_matrix((np.ones(net.indices.size), net.indices, net.indptr), shape=(n, n))
-            for start in starts:
+            sizes = grow_cluster(net, starts)
+            for start, row in zip(starts, sizes):
                 # independent oracle: hop distances, counted per distance and cumulated
                 dist = dijkstra(graph, indices=int(start), unweighted=True)
                 expected = np.bincount(dist[np.isfinite(dist)].astype(np.int64)).cumsum()
-                assert np.array_equal(grow_cluster(net, int(start)).sizes, expected)
+                assert np.array_equal(row[:expected.size], expected)
+                assert np.all(row[expected.size:] == expected[-1])
 
-    def test_strictly_increasing_required(self):
-        with pytest.raises(InputDataError):
-            GrowthProcess(np.array([1, 2, 2, 3]))
-        with pytest.raises(InputDataError):
-            GrowthProcess(np.array([2, 3]))
+    def test_strictly_increasing_required(self, tmp_path):
+        from multilogistic import io
+
+        # arrays: growth after a plateau, a shrinking row, a row not starting at 1
+        for sizes in ([[1, 2, 2, 3]], [[1, 3, 2]], [[2, 3]]):
+            with pytest.raises(InputDataError):
+                growth_statistics(np.array(sizes), 100.0)
+        # files: a process may not repeat a size (not even at its end), nor start above 1
+        for rows in ("0,0,1\n0,1,2\n0,2,2\n", "0,0,1\n0,1,2\n1,0,2\n1,1,3\n"):
+            p = tmp_path / "procs.csv"
+            p.write_text("process_id,iteration,size\n" + rows)
+            with pytest.raises(InputDataError):
+                io.read_processes(p)
 
     def test_seed_out_of_range(self):
         with pytest.raises(InputDataError):
-            grow_cluster(path_network(4), 9)
+            grow_cluster(path_network(4), [0, 9])
 
 
 class TestComponents:
@@ -242,8 +253,8 @@ def synthetic_walk_processes(n_proc, drift, diff, total, steps, seed):
         x = np.maximum.accumulate(np.round(y_inverse(y, total)))
         x = np.maximum(x, 1.0)
         x += np.arange(steps + 1)  # enforce strict growth after rounding
-        procs.append(GrowthProcess(x.astype(np.int64)))
-    return procs
+        procs.append(x.astype(np.int64))
+    return np.array(procs)
 
 
 class TestFitKernel:
@@ -261,7 +272,7 @@ class TestFitKernel:
         t = np.arange(0, 6.0)
         x = np.round(sigmoid(p, t)).astype(np.int64)
         x = np.maximum(x, 1) + np.arange(6, dtype=np.int64)
-        procs = [GrowthProcess(x) for _ in range(40)]
+        procs = np.tile(x, (40, 1))
         fit = fit_kernel(procs, 20000.0)
         assert fit.diff_coeff < 1e-6
 
@@ -285,8 +296,8 @@ class TestFullNetworkRegime:
         pool = largest_component_nodes(net)
         rng = np.random.Generator(np.random.Philox([5, 1]))
         seeds = rng.choice(pool, size=500, replace=True)
-        procs = [grow_cluster(net, int(s)) for s in seeds]
-        fit = fit_kernel(procs, 20000.0)
+        sizes = grow_cluster(net, seeds)
+        fit = fit_kernel(sizes, 20000.0)
         assert degree_loglog_slope(net) == pytest.approx(-1.0, abs=0.1)
         assert fit.drift == pytest.approx(REF["drift"], rel=0.20)
         assert fit.diff_coeff == pytest.approx(REF["diff_coeff"], rel=0.20)
