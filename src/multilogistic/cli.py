@@ -170,12 +170,12 @@ def cmd_diffuse(args) -> int:
     else:
         net = network.generate_sfin(args.nodes, args.max_degree, args.seed,
                                     args.min_degree)
-    comps = network.connected_component_sizes(net)
+    labels, comps = network._component_labels(net)  # labelled once for the warning and the pool
     if comps.size > 1:
-        shown = ", ".join(str(int(c)) for c in comps[:6])
+        shown = ", ".join(str(int(c)) for c in np.sort(comps)[::-1][:6])
         print(f"warning: graph has {comps.size} components (sizes {shown}...); "
               "seeds restricted to the largest", file=sys.stderr)
-    pool = network.largest_component_nodes(net)
+    pool = np.nonzero(labels == np.argmax(comps))[0]
     rng = np.random.Generator(np.random.Philox([args.seed, 1]))
     seeds = rng.choice(pool, size=args.processes, replace=True)
     sizes = network.grow_cluster(net, seeds)

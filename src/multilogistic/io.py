@@ -10,6 +10,7 @@ contain no timestamps on purpose.
 """
 
 import csv
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -157,6 +158,25 @@ def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
     return rows
 
 
+def _lines(path, header, dtype):
+    """(line number, text, row) of each line below the header.
+
+    ``row`` is np.loadtxt's reading of the line on its own: empty for a
+    comment or blank line, None where loadtxt rejects the line.
+    """
+    with Path(path).open() as fh:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 and header:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a line without data
+                try:
+                    row = np.loadtxt([line], dtype=dtype, delimiter=",", ndmin=1)
+                except ValueError:
+                    row = None
+            yield number, line, row
+
+
 def _first_bad_row(path, header, dtype):
     """'line N: bad row ...' for the first data row that np.loadtxt cannot read on its own.
 
@@ -164,18 +184,18 @@ def _first_bad_row(path, header, dtype):
     header's (without a header, from the first data row's).
     """
     width = len(header) if header else None
-    with Path(path).open() as fh:
-        for number, line in enumerate(fh, start=1):
-            if number == 1 and header:
-                continue
-            try:
-                row = np.loadtxt([line], dtype=dtype, delimiter=",", ndmin=1)
-            except ValueError:
-                return f"line {number}: bad row {line.rstrip()!r}"
+    for number, line, row in _lines(path, header, dtype):
+        if row is not None:
             width = width or row.size  # comments and blank lines are empty
-            if row.size not in (0, width):
-                return f"line {number}: bad row {line.rstrip()!r}"
+        if row is None or row.size not in (0, width):
+            return f"line {number}: bad row {line.rstrip()!r}"
     return None
+
+
+def _line_of_row(path, header, dtype, index):
+    """The line number of data row ``index`` of a file that _read_rows has read."""
+    data = (number for number, _, row in _lines(path, header, dtype) if row.size)
+    return next(itertools.islice(data, index, None))
 
 
 def write_edges(path, net: Network):
@@ -197,10 +217,26 @@ def write_processes(path, sizes):
 
 
 def read_processes(path) -> np.ndarray:
-    """The (k, L) sizes array of the processes in process-id order, rows in file order."""
-    rows = _read_rows(path, ["process_id", "iteration", "size"])
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    return _pad_processes(rows[:, 2], np.unique(rows[:, 0], return_counts=True)[1])
+    """The (k, L) sizes array of the processes in process-id order, rows in file order.
+
+    A process's rows must hold its iterations 0, 1, 2, ... in file order.
+    """
+    header = ["process_id", "iteration", "size"]
+    rows = _read_rows(path, header)
+    order = np.argsort(rows[:, 0], kind="stable")
+    rows = rows[order]
+    lengths = np.unique(rows[:, 0], return_counts=True)[1]
+    expected = np.arange(rows.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    wrong = np.flatnonzero(rows[:, 1] != expected)
+    if wrong.size:
+        pid, iteration, _ = rows[wrong[0]].tolist()
+        line = _line_of_row(path, header, np.int64, int(order[wrong[0]]))
+        raise InputDataError(
+            f"{path}: line {line}: process {pid} has iteration {iteration} where "
+            f"{expected[wrong[0]]} was expected (each process's iterations run 0, 1, 2, ... "
+            "in file order)"
+        )
+    return _pad_processes(rows[:, 2], lengths)
 
 
 # ---------------------------------------------------------------------------

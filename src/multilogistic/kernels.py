@@ -160,9 +160,13 @@ def bfs_layer_sizes(indptr, indices, seed):
     along ``order[1:]`` never decrease: the layer after the one ending at
     position ``end`` ends after the last node whose parent sits before
     ``end``. Unreachable nodes never enter ``order``.
+
+    The traversal reads only ``indptr`` and ``indices``, so the CSR it is
+    handed carries a read-only stride-0 view of one 1.0 as its data: a call
+    allocates no per-edge data array.
     """
     n = indptr.shape[0] - 1
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    graph = csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
     # the graph is symmetric; directed=False would build the transpose union
     order, parent = breadth_first_order(graph, int(seed), directed=True,
                                         return_predecessors=True)

@@ -8,7 +8,7 @@ x-space, and parameter extraction from an ensemble of growth processes).
 """
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +121,17 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
 
 
 def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
-    """Remove self-loops/duplicates by degree-preserving random swaps."""
+    """Remove self-loops/duplicates by degree-preserving random swaps.
+
+    Each bad edge i (a self-loop, or a repeat of an earlier edge's key) draws
+    a partner j and swaps (a, b), (c, d) to (a, d), (c, b) when that makes no
+    loop and both new keys are unused; a pass over the bad list is followed
+    by a rescan. An edge's key is min * span + max of its endpoints. A scan
+    is one argsort of the keys: the kept edge of each key group is its
+    smallest index, and the first scan's groups give the key multiplicities.
+    The swap loop reads a count from those sorted keys, unless the loop has
+    changed it (then from a dict of its own changes).
+    """
     edges = np.array(edges, dtype=np.int64)
     n_edges = edges.shape[0]
     span = int(edges.max()) + 1
@@ -130,17 +140,32 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
         return min(u, v) * span + max(u, v)
 
     def scan():
-        # keys of the non-loop edges, and the bad edges: self-loops and repeated keys
-        lo, hi = np.sort(edges, axis=1).T
+        # sorted distinct keys, their counts, and the bad edges: self-loops and repeats
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
         keys = lo * span + hi
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
         repeat = np.ones(n_edges, dtype=bool)
-        repeat[np.unique(keys, return_index=True)[1]] = False
-        return keys[lo != hi], np.flatnonzero((lo == hi) | repeat).tolist()
+        repeat[np.minimum.reduceat(order, starts)] = False
+        bad = np.flatnonzero((lo == hi) | repeat).tolist()
+        return sorted_keys[starts], np.diff(starts, append=n_edges), bad
 
-    simple_keys, bad = scan()
-    uniq, mult = np.unique(simple_keys, return_counts=True)
-    # a Counter: a self-loop partner's absent key is decremented below
-    counts = Counter(dict(zip(uniq.tolist(), mult.tolist())))
+    uniq, mult, bad = scan()
+    uniq, mult = uniq.tolist(), mult.tolist()
+    changed = {}
+
+    def count(k):
+        # self-loops' keys are counted too; no swap tests them, as k1 and k2 join two nodes
+        if k in changed:
+            return changed[k]
+        pos = bisect_left(uniq, k)
+        return mult[pos] if pos < len(uniq) and uniq[pos] == k else 0
+
+    def add(k, delta):
+        changed[k] = count(k) + delta
+
     cap = 100 * n_edges
     attempts = 0
     while bad:
@@ -166,18 +191,18 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
             old_i = key(a, b) if a != b else None
             old_j = key(c, d)
             if old_i is not None:
-                counts[old_i] -= 1
-            counts[old_j] -= 1
-            if counts[k1] == 0 and counts[k2] == 0:
-                counts[k1] += 1
-                counts[k2] += 1
+                add(old_i, -1)
+            add(old_j, -1)
+            if count(k1) == 0 and count(k2) == 0:
+                add(k1, 1)
+                add(k2, 1)
                 edges[i] = a, d
                 edges[j] = c, b
             else:  # roll back
                 if old_i is not None:
-                    counts[old_i] += 1
-                counts[old_j] += 1
-        bad = scan()[1]
+                    add(old_i, 1)
+                add(old_j, 1)
+        bad = scan()[2]
     return edges
 
 
@@ -238,9 +263,11 @@ def degree_loglog_slope(net: Network) -> float:
 
 
 def _component_labels(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    # component label of every node, and the size of every component
+    # component label of every node, and the size of every component; csgraph
+    # reads float64 data, and a stride-0 view of 1.0 (as in the BFS kernel)
+    # spares a per-edge array and its float64 copy
     graph = csr_matrix(
-        (np.ones(net.indices.size, dtype=np.int8), net.indices, net.indptr),
+        (np.broadcast_to(1.0, net.indices.shape), net.indices, net.indptr),
         shape=(net.node_count, net.node_count),
     )
     n_comp, labels = _sparse_components(graph, directed=False)

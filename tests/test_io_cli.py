@@ -7,6 +7,7 @@ import pytest
 from multilogistic import io
 from multilogistic.cli import main
 from multilogistic.core import closed_form
+from multilogistic.errors import InputDataError
 from multilogistic.maxent import analytic_rank, solve_lambda
 
 
@@ -91,6 +92,18 @@ class TestIoRoundTrips:
         assert p.read_text().splitlines()[1:] == ["0,0,1", "0,1,4", "0,2,9", "1,0,1", "1,1,2"]
         back = io.read_processes(p)
         assert back.dtype == np.int64 and back.tolist() == [[1, 4, 9], [1, 2, 2]]
+
+    @pytest.mark.parametrize("rows, line", [
+        ("0,0,1\n0,2,3\n", 3),
+        ("0,0,1\n1,0,1\n0,1,2\n1,1,2\n0,1,3\n", 6),
+        ("0,0,1\n1,1,1\n1,2,2\n", 3),
+    ], ids=["gap", "repeated", "not-from-0"])
+    def test_processes_iterations_must_count_up_from_0(self, tmp_path, rows, line):
+        # every size column here would pass on its own: each process starts at 1 and grows
+        p = tmp_path / "procs.csv"
+        p.write_text("process_id,iteration,size\n" + rows)
+        with pytest.raises(InputDataError, match=f"procs.csv: line {line}: process"):
+            io.read_processes(p)
 
     def test_share_series_round_trip(self, tmp_path):
         for i, components in enumerate([("explorer", "firefox", "chrome"),

@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from multilogistic import (
     y_inverse,
     y_transform,
 )
+from multilogistic import network
 from multilogistic.network import (
     connected_component_sizes,
     degree_loglog_slope,
@@ -28,6 +32,82 @@ from multilogistic.network import (
 
 # reference kernel parameters for the 20000-node network experiment
 REF = dict(drift=3.09, diff_coeff=0.245, total=20000.0)
+
+
+def _reference_repair_simple(edges, rng):
+    # network._repair_simple as written with np.unique and a Counter over
+    # every key: the definition whose edges and RNG draws the kernel with one
+    # argsort per scan must reproduce exactly.
+    edges = np.array(edges, dtype=np.int64)
+    n_edges = edges.shape[0]
+    span = int(edges.max()) + 1
+
+    def key(u, v):
+        return min(u, v) * span + max(u, v)
+
+    def scan():
+        # keys of the non-loop edges, and the bad edges: self-loops and repeated keys
+        lo, hi = np.sort(edges, axis=1).T
+        keys = lo * span + hi
+        repeat = np.ones(n_edges, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        return keys[lo != hi], np.flatnonzero((lo == hi) | repeat).tolist()
+
+    simple_keys, bad = scan()
+    uniq, mult = np.unique(simple_keys, return_counts=True)
+    # a Counter: a self-loop partner's absent key is decremented below
+    counts = Counter(dict(zip(uniq.tolist(), mult.tolist())))
+    cap = 100 * n_edges
+    attempts = 0
+    while bad:
+        for i in bad:
+            attempts += 1
+            if attempts > cap:
+                raise NumericsError(
+                    "degree sequence not realizable as a simple graph "
+                    f"within {cap} repair attempts"
+                )
+            j = int(rng.integers(n_edges))
+            if j == i:
+                continue
+            a, b = edges[i].tolist()
+            c, d = edges[j].tolist()
+            # swap to (a, d), (c, b)
+            if a == d or c == b:
+                continue
+            k1 = key(a, d)
+            k2 = key(c, b)
+            if k1 == k2:
+                continue
+            old_i = key(a, b) if a != b else None
+            old_j = key(c, d)
+            if old_i is not None:
+                counts[old_i] -= 1
+            counts[old_j] -= 1
+            if counts[k1] == 0 and counts[k2] == 0:
+                counts[k1] += 1
+                counts[k2] += 1
+                edges[i] = a, d
+                edges[j] = c, b
+            else:  # roll back
+                if old_i is not None:
+                    counts[old_i] += 1
+                counts[old_j] += 1
+        bad = scan()[1]
+    return edges
+
+
+def _repair_outcome(repair, edges, rng):
+    # the repaired edges (or the cap's message) and the generator's state after
+    try:
+        out = repair(edges, rng).tolist()
+    except NumericsError as exc:
+        out = str(exc)
+    return out, json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class _RepairInput(Exception):
+    pass
 
 
 def star_network(n):
@@ -99,6 +179,25 @@ class TestGenerateSfin:
         with pytest.raises(NumericsError, match="not realizable as a simple graph "
                                                "within 200 repair attempts"):
             generate_sfin(2, 2, seed, c_min=2)
+
+    # at 40/39 every seed of 0..19 exhausts the cap, so there the draws up to
+    # the cap are compared; 40/39 and 60/30 swap with self-loop partners
+    @pytest.mark.parametrize("nodes, c_max, seeds", [
+        (40, 39, range(20)), (60, 30, range(20)), (300, 20, range(20)), (20000, 100, range(2)),
+    ])
+    def test_repair_matches_reference(self, monkeypatch, nodes, c_max, seeds):
+        repair = network._repair_simple
+
+        def capture(edges, rng):
+            raise _RepairInput(edges, rng)
+
+        monkeypatch.setattr(network, "_repair_simple", capture)
+        for seed in seeds:
+            with pytest.raises(_RepairInput) as stop:
+                generate_sfin(nodes, c_max, seed)
+            edges, rng = stop.value.args
+            want = _repair_outcome(_reference_repair_simple, edges.copy(), copy.deepcopy(rng))
+            assert _repair_outcome(repair, edges.copy(), rng) == want
 
     # sha256 of edge_array().tobytes(): a change here is a change of the graph
     # stream and must be recorded as one. 40/39 and 60/30 are dense enough that
