@@ -9,6 +9,9 @@ Library layout:
 * :mod:`.forecast` - rate extraction and forecasting of compositional shares
 * :mod:`.itm` - the square-root-amplitude matrix flow
 * :mod:`.cli` - batch command line (``multilogistic <subcommand>``)
+
+Each scipy routine is imported inside the function that calls it, so
+importing the package or building the CLI parser loads numpy and no scipy.
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import kernels
 from .errors import InputDataError, NumericsError
@@ -245,6 +244,8 @@ def sigmoid(params: LogisticParams, t) -> np.ndarray | float:
     Evaluated through the log-odds form, which is stable for arbitrarily
     large |rate * t|.
     """
+    from scipy.special import expit
+
     t_arr = np.asarray(t, dtype=float)
     z = params.rate * t_arr + np.log(params.x0 / (params.capacity - params.x0))
     out = params.capacity * expit(z)

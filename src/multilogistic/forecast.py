@@ -10,7 +10,6 @@ back through the exact solution to extrapolate the composition.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .core import share_composition
 from .errors import InputDataError, NumericsError
@@ -128,6 +127,8 @@ def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential") -
     and c. Parameters are reported with standard errors from the scaled
     covariance of the fit.
     """
+    from scipy.optimize import curve_fit
+
     if form not in _FORMS:
         raise InputDataError(f"form must be one of {_FORMS}")
     t = np.asarray(times, dtype=float)

@@ -10,8 +10,6 @@ as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 # read by perfbench/run.py; there is no numba backend
 USING_NUMBA = False
@@ -165,6 +163,9 @@ def bfs_layer_sizes(indptr, indices, seed):
     handed carries a read-only stride-0 view of one 1.0 as its data: a call
     allocates no per-edge data array.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = indptr.shape[0] - 1
     graph = csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
     # the graph is symmetric; directed=False would build the transpose union

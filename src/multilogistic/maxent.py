@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.special import exp1
 
 from .errors import InputDataError, NumericsError
 
@@ -49,7 +47,7 @@ _Z_CAP = 700.0  # beyond this exp(-z) leaves the normal double range
 
 
 _Z_MIN = 1e-300  # lower end of the inverse's bracket
-_G_MAX = float(exp1(_Z_MIN))  # about 690: larger g has its root below _Z_MIN
+_G_MAX = 690.1983122333121  # Gamma(0, _Z_MIN): larger g has its root below _Z_MIN
 
 
 def gamma0(z):
@@ -57,6 +55,8 @@ def gamma0(z):
 
     Accepts a scalar (returns a float) or an array; every z must be > 0.
     """
+    from scipy.special import exp1
+
     arr = np.asarray(z, dtype=float)
     if not np.all(arr > 0.0):
         raise InputDataError("gamma0 requires z > 0")
@@ -72,6 +72,8 @@ def gamma0_inverse(g):
     scalar (returns a float) or an array; every element is solved at once,
     each with its own bracket.
     """
+    from scipy.special import exp1
+
     arr = np.asarray(g, dtype=float)
     if not np.all(arr > 0.0):
         raise InputDataError("gamma0_inverse requires g > 0")
@@ -149,11 +151,15 @@ class MaxEntModel:
 
     @property
     def mu(self) -> float:
+        from scipy.special import exp1
+
         return math.log(float(exp1(self.lam)))
 
 
 def mean_population_from(lam: float, x0: float) -> float:
     """Mean of the equilibrium density for a given decay constant and floor."""
+    from scipy.special import exp1
+
     if not lam > 0.0:
         raise InputDataError("the decay constant must be positive")
     return x0 * math.exp(-lam) / (lam * float(exp1(lam)))
@@ -171,6 +177,9 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     ratio total/(n*x0) must exceed 1; as it approaches 1 the constant
     diverges and the solver reports the cap.
     """
+    from scipy.optimize import brentq
+    from scipy.special import exp1
+
     if not (total > 0.0 and x0 > 0.0 and n >= 1):
         raise InputDataError("need total > 0, x0 > 0, n >= 1")
     ratio = total / (n * x0)
@@ -208,6 +217,8 @@ def analytic_rank(model: MaxEntModel, r):
     r = n lands exactly on the floor; small ranks give the large-population
     head, which diverges logarithmically as r -> 0 (r <= 0 is rejected).
     """
+    from scipy.special import exp1
+
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr > model.n):
         raise InputDataError("rank must lie in (0, n]")
@@ -218,6 +229,8 @@ def analytic_rank(model: MaxEntModel, r):
 
 def population_cdf(model: MaxEntModel, x):
     """Equilibrium CDF F(x) = 1 - Gamma(0, lam*x/x0) / Gamma(0, lam) for x >= x0."""
+    from scipy.special import exp1
+
     x_arr = np.asarray(x, dtype=float)
     g0 = float(exp1(model.lam))
     z = model.lam * np.maximum(x_arr, model.x0) / model.x0
@@ -266,6 +279,8 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     decay constant is free. Returns (lam, standard error). Log space keeps
     the decades-spanning head and the flat tail on equal footing.
     """
+    from scipy.optimize import least_squares
+
     pops = data.populations
     if len(data) < 10:
         raise InputDataError("need at least 10 rank entries to fit")

@@ -12,9 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _sparse_components
-from scipy.special import expit
 
 from . import kernels
 from .errors import InputDataError, NumericsError
@@ -66,6 +63,8 @@ class Network:
 
     @classmethod
     def from_edges(cls, node_count: int, edges, c_max: int = 0) -> "Network":
+        from scipy.sparse import csr_matrix
+
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise InputDataError("edges must be an (E, 2) array")
@@ -90,8 +89,10 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
 
     Draws a degree sequence (total made even), wires stubs uniformly at
     random, then repairs self-loops and duplicate edges by randomized edge
-    swaps that preserve every degree. Repair is capped at 100 * edge_count
-    attempts; an unrealizable sequence raises.
+    swaps that preserve every degree. A sequence that no simple graph
+    realizes (the Erdos-Gallai test) raises before the repair; the repair
+    raises when it is still left with bad edges after 100 * edge_count
+    attempts.
     """
     if not (node_count >= c_max >= 2):
         raise InputDataError("need node_count >= c_max >= 2")
@@ -99,6 +100,16 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
         raise InputDataError("need 1 <= c_min <= c_max")
     if seed < 0:
         raise InputDataError(f"seed must be non-negative, got {seed}")
+    deg, edges, rng = _draw_stubs(node_count, c_max, seed, c_min)
+    _check_graphical(deg)
+    return Network.from_edges(node_count, _repair_simple(edges, rng), c_max=c_max)
+
+
+def _draw_stubs(node_count: int, c_max: int, seed: int, c_min: int):
+    """The degree sequence, its stubs wired at random as (E, 2) edges, and the generator.
+
+    The generator is left where the repair of those edges starts drawing.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     support = np.arange(c_min, c_max + 1)
     weights = 1.0 / support
@@ -115,9 +126,33 @@ def generate_sfin(node_count: int, c_max: int, seed: int, c_min: int = 1) -> Net
 
     stubs = np.repeat(np.arange(node_count, dtype=np.int64), deg)
     rng.shuffle(stubs)
-    edges = stubs.reshape(-1, 2)
-    edges = _repair_simple(edges, rng)
-    return Network.from_edges(node_count, edges, c_max=c_max)
+    return deg, stubs.reshape(-1, 2), rng
+
+
+def _check_graphical(deg: np.ndarray):
+    """Raise unless a simple graph has the degrees ``deg`` (their total is even).
+
+    Erdos-Gallai: with d_1 >= ... >= d_n, every k must satisfy
+    sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k). The degrees from
+    position split = max(k, #{d_i >= k}) on are below k, so the right side is
+    k(k-1) + k(split - k) + (total - sum_{i<=split} d_i): one sort, prefix
+    sums and one searchsorted for every k at once.
+    """
+    d = np.sort(np.asarray(deg, dtype=np.int64))
+    n = d.size
+    k = np.arange(1, n + 1, dtype=np.int64)
+    prefix = np.cumsum(d[::-1])  # prefix[k - 1]: the k largest degrees' sum
+    split = np.maximum(n - np.searchsorted(d, k), k)
+    room = k * (split - 1) + prefix[-1] - prefix[split - 1]
+    fails = np.flatnonzero(prefix > room)
+    if fails.size:
+        i = int(fails[0])
+        raise NumericsError(
+            f"degree sequence is not graphical (Erdos-Gallai fails at k={i + 1}: the "
+            f"{i + 1} largest degrees sum to {prefix[i]}, above the {room[i]} that "
+            "a simple graph allows); lower the degree cutoff (--max-degree) relative "
+            "to the node count (--nodes), or draw another seed"
+        )
 
 
 def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
@@ -173,8 +208,8 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
             attempts += 1
             if attempts > cap:
                 raise NumericsError(
-                    "degree sequence not realizable as a simple graph "
-                    f"within {cap} repair attempts"
+                    f"random edge swaps left self-loops or repeated edges after "
+                    f"{cap} repair attempts; draw another seed"
                 )
             j = int(rng.integers(n_edges))
             if j == i:
@@ -266,11 +301,14 @@ def _component_labels(net: Network) -> tuple[np.ndarray, np.ndarray]:
     # component label of every node, and the size of every component; csgraph
     # reads float64 data, and a stride-0 view of 1.0 (as in the BFS kernel)
     # spares a per-edge array and its float64 copy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix(
         (np.broadcast_to(1.0, net.indices.shape), net.indices, net.indptr),
         shape=(net.node_count, net.node_count),
     )
-    n_comp, labels = _sparse_components(graph, directed=False)
+    n_comp, labels = connected_components(graph, directed=False)
     return labels, np.bincount(labels, minlength=n_comp)
 
 
@@ -300,6 +338,8 @@ def y_transform(x, total: float):
 
 def y_inverse(y, total: float):
     """Inverse transform x = total / (1 + e^-y)."""
+    from scipy.special import expit
+
     out = total * expit(np.asarray(y, dtype=float))
     return float(out) if np.ndim(y) == 0 else out
 

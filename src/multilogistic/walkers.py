@@ -29,7 +29,7 @@ __all__ = [
     "scale_invariance_corr",
 ]
 
-_CHUNK_STEPS = 4096  # normals buffer: chunk * n doubles
+_CHUNK_VALUES = 1 << 18  # normals drawn at once: 2 MiB of doubles, whatever n is
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,13 @@ class WalkerEnsemble:
         """Advance the ensemble by ``steps`` steps."""
         if steps < 0:
             raise InputDataError("steps must be non-negative")
+        # one buffer, refilled in place: a fresh draw would hold two blocks at once
+        buffer = np.empty((min(steps, max(1, _CHUNK_VALUES // self.n)), self.n))
         done = 0
         while done < steps:
-            chunk = min(steps - done, _CHUNK_STEPS)
-            normals = self._rng.standard_normal((chunk, self.n))
+            normals = buffer[:steps - done]
+            chunk = normals.shape[0]
+            self._rng.standard_normal(out=normals)
             bad = kernels.advance_walkers_seq(
                 self.x, normals, self.drift, self.sigma,
                 self.dt, self.total, self.floor, self.move_counts,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from multilogistic import InputDataError, NumericsError
+from multilogistic import InputDataError, NumericsError, maxent
 from multilogistic.maxent import (
     MaxEntModel,
     RankDistribution,
@@ -84,6 +84,15 @@ class TestGamma0Inverse:
 
     def test_inverse_of_oracle_value(self):
         assert gamma0_inverse(0.219383934395520274) == pytest.approx(1.0, rel=1e-9)
+
+    def test_upper_limit_is_gamma0_of_bracket_floor(self):
+        # the literal stands in for scipy's value, so importing maxent loads no scipy
+        from scipy.special import exp1
+
+        assert maxent._G_MAX == float(exp1(maxent._Z_MIN))
+        assert gamma0_inverse(maxent._G_MAX) == pytest.approx(maxent._Z_MIN, rel=1e-9)
+        with pytest.raises(NumericsError, match="underflows"):
+            gamma0_inverse(np.nextafter(maxent._G_MAX, np.inf))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InputDataError):

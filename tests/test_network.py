@@ -64,8 +64,8 @@ def _reference_repair_simple(edges, rng):
             attempts += 1
             if attempts > cap:
                 raise NumericsError(
-                    "degree sequence not realizable as a simple graph "
-                    f"within {cap} repair attempts"
+                    f"random edge swaps left self-loops or repeated edges after "
+                    f"{cap} repair attempts; draw another seed"
                 )
             j = int(rng.integers(n_edges))
             if j == i:
@@ -106,8 +106,13 @@ def _repair_outcome(repair, edges, rng):
     return out, json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
-class _RepairInput(Exception):
-    pass
+def _reference_erdos_gallai(deg):
+    # the first k whose Erdos-Gallai inequality fails, term by term; None if graphical
+    d = sorted(deg, reverse=True)
+    for k in range(1, len(d) + 1):
+        if sum(d[:k]) > k * (k - 1) + sum(min(x, k) for x in d[k:]):
+            return k
+    return None
 
 
 def star_network(n):
@@ -176,28 +181,60 @@ class TestGenerateSfin:
     @pytest.mark.parametrize("seed", range(4))
     def test_repair_cap(self, seed):
         # two nodes of degree 2 can only be wired as loops or a double edge
-        with pytest.raises(NumericsError, match="not realizable as a simple graph "
-                                               "within 200 repair attempts"):
+        _, edges, rng = network._draw_stubs(2, 2, seed, c_min=2)
+        with pytest.raises(NumericsError, match="left self-loops or repeated edges after "
+                                               "200 repair attempts"):
+            network._repair_simple(edges, rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_not_graphical_fails_before_repair(self, monkeypatch, seed):
+        def repair(edges, rng):
+            raise AssertionError("the repair ran on a sequence that is not graphical")
+
+        monkeypatch.setattr(network, "_repair_simple", repair)
+        with pytest.raises(NumericsError, match=r"not graphical \(Erdos-Gallai fails at k=1: "
+                                               r".*--max-degree.*--nodes"):
             generate_sfin(2, 2, seed, c_min=2)
 
-    # at 40/39 every seed of 0..19 exhausts the cap, so there the draws up to
-    # the cap are compared; 40/39 and 60/30 swap with self-loop partners
+    def test_graphical_check_matches_reference(self):
+        rng = np.random.default_rng(3)
+        cases = [network._draw_stubs(40, 39, seed, c_min=1)[0] for seed in range(20)]
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            deg = rng.integers(0, n + 2, size=n)
+            deg[0] += deg.sum() % 2
+            cases.append(deg)
+        fails = 0
+        for deg in cases:
+            k = _reference_erdos_gallai(deg.tolist())
+            if k is None:
+                network._check_graphical(deg)
+            else:
+                fails += 1
+                with pytest.raises(NumericsError, match=f"fails at k={k}:"):
+                    network._check_graphical(deg)
+        assert 0 < fails < len(cases)
+
+    def test_cap_on_graphical_sequence_says_so(self):
+        # 40/39: seed 8 draws a graphical sequence that the swaps do not wire
+        # within the cap, so the error must not call the sequence unrealizable
+        deg = network._draw_stubs(40, 39, 8, c_min=1)[0]
+        assert _reference_erdos_gallai(deg.tolist()) is None
+        with pytest.raises(NumericsError, match="draw another seed") as err:
+            generate_sfin(40, 39, 8)
+        assert "graphical" not in str(err.value) and "realiz" not in str(err.value)
+
+    # at 40/39 seeds 0..19 all end in an error: 17 sequences are not graphical
+    # and the other three exhaust the cap, so there the draws up to the cap are
+    # compared; 40/39 and 60/30 swap with self-loop partners
     @pytest.mark.parametrize("nodes, c_max, seeds", [
         (40, 39, range(20)), (60, 30, range(20)), (300, 20, range(20)), (20000, 100, range(2)),
     ])
-    def test_repair_matches_reference(self, monkeypatch, nodes, c_max, seeds):
-        repair = network._repair_simple
-
-        def capture(edges, rng):
-            raise _RepairInput(edges, rng)
-
-        monkeypatch.setattr(network, "_repair_simple", capture)
+    def test_repair_matches_reference(self, nodes, c_max, seeds):
         for seed in seeds:
-            with pytest.raises(_RepairInput) as stop:
-                generate_sfin(nodes, c_max, seed)
-            edges, rng = stop.value.args
+            _, edges, rng = network._draw_stubs(nodes, c_max, seed, c_min=1)
             want = _repair_outcome(_reference_repair_simple, edges.copy(), copy.deepcopy(rng))
-            assert _repair_outcome(repair, edges.copy(), rng) == want
+            assert _repair_outcome(network._repair_simple, edges.copy(), rng) == want
 
     # sha256 of edge_array().tobytes(): a change here is a change of the graph
     # stream and must be recorded as one. 40/39 and 60/30 are dense enough that

@@ -57,6 +57,24 @@ class TestStep:
             b.run(n)
         assert np.array_equal(a.u, b.u)
 
+    def test_noise_drawn_in_bounded_blocks(self):
+        # 1000 walkers over 1000 steps: the normals come in blocks of 2 MiB
+        # (262 steps), not all 8 MB at once; block edges leave the stream as it is
+        import tracemalloc
+
+        a = WalkerEnsemble.uniform(1000, 6e6, 150.0, 0.03, sigma=1.0, seed=5)
+        b = WalkerEnsemble.uniform(1000, 6e6, 150.0, 0.03, sigma=1.0, seed=5)
+        tracemalloc.start()
+        try:
+            a.run(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        for _ in range(4):
+            b.run(250)
+        assert np.array_equal(a.u, b.u)
+
 
 class TestConstruction:
     def test_floor_infeasible(self):
