@@ -1,17 +1,24 @@
 """CSV schemas and run manifests for the batch CLI.
 
-Tables are written column by column: each cell is ``str`` of a Python
-scalar (an ndarray column goes through ``tolist()`` first), so a float is
-its shortest round-trip ``repr``, an integer its digits, and text is quoted
-by ``csv`` where it holds a comma or quote. Every file therefore reads back
-bit-exactly and identical runs produce identical bytes. Manifests carry the
-full configuration, the seed, and the library versions of a run; they
-contain no timestamps on purpose.
+Every table, a matrix included, goes through one writer, ``write_table``,
+which takes whole columns. A column from a numeric ndarray becomes Python
+scalars once (``tolist()``); any other cell, and every header cell, is
+``str`` of the value, quoted by ``csv``'s minimal rule: a cell holding
+``,``, ``"``, ``\r`` or ``\n`` is wrapped in ``"`` with ``"`` doubled, and
+the one cell of a one-column row is written ``""`` when empty. Rows go out
+in blocks of ``_BLOCK_ROWS``, one ``%``-format per block, and ``%s`` is
+``str``: a float is its shortest round-trip ``repr``, an integer its
+digits. Every file therefore reads back bit-exactly, identical runs
+produce identical bytes, and the bytes are those that the ``csv`` module's
+writer makes of the same cells. Manifests carry the full configuration,
+the seed, and the library versions of a run; they contain no timestamps on
+purpose.
 """
 
 import csv
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -40,14 +47,48 @@ __all__ = [
     "month_shift",
 ]
 
+_BLOCK_ROWS = 512  # rows per %-format; whole-table blocks raise peak memory
+
+
+def _text(value, alone):
+    """``str(value)`` quoted as csv quotes it; ``alone``: the only cell of its row."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return '""' if alone and not text else text
+
+
+def _cells(column, alone):
+    """The cells of one column as Python scalars (numbers) or quoted text."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "biuf":
+            return column.tolist()  # str of a Python number never needs quotes
+        column = column.tolist()
+    return [_text(v, alone) for v in column]
+
 
 def write_table(path, header, columns):
-    """Write ``header`` and then one row per index of the equal-length ``columns``."""
-    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    """Write ``header`` (None: no header line) and one row per index of ``columns``.
+
+    Raises ValueError, before the file is opened, if the columns differ in length.
+    """
+    alone = len(columns) == 1
+    columns = [_cells(c, alone) for c in columns]
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    width = len(columns)
+    row = ",".join(["%s"] * width) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*cells, strict=True))
+        if header is not None:
+            fh.write(",".join([_text(h, len(header) == 1) for h in header]) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = min(_BLOCK_ROWS, n_rows - start)
+            cells = [None] * (block * width)
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:start + block]  # cell j of each row
+            fh.write((row * block) % tuple(cells))
 
 
 def read_table(path):
@@ -88,7 +129,8 @@ def read_populations(path) -> np.ndarray:
     """Read a population CSV: a ``population`` column (name optional extras).
 
     Accepts a header naming the column, or headerless single-column numeric
-    data. Malformed rows are reported with their line number.
+    data. Malformed rows and populations that are not finite (nan, inf) are
+    reported with their line number.
     """
     header, rows = read_table(path)
     names = [h.strip().lower() for h in header]
@@ -112,9 +154,14 @@ def read_populations(path) -> np.ndarray:
         if not row or all(not c.strip() for c in row):
             continue
         try:
-            out.append(float(row[col]))
+            value = float(row[col])
         except (ValueError, IndexError) as exc:
             raise InputDataError(f"{path}: line {first_line + i}: bad value {row!r}") from exc
+        if not math.isfinite(value):
+            raise InputDataError(
+                f"{path}: line {first_line + i}: population {row[col]!r} is not finite"
+            )
+        out.append(value)
     if not out:
         raise InputDataError(f"{path}: no population rows")
     return np.asarray(out, dtype=float)
@@ -326,6 +373,4 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, mat):
-    mat = np.asarray(mat, dtype=float)
-    with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerows(map(str, row) for row in np.atleast_2d(mat).tolist())
+    write_table(path, None, np.atleast_2d(np.asarray(mat, dtype=float)).T)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io as io_text
 import json
 import subprocess
 import sys
@@ -39,6 +41,58 @@ def write_share_csv(path, epoch="2012-03", rates=(0.0, 0.1, 0.3), months=36,
     io.write_table(path, ["date", *components], [dates, *shares.T])
 
 
+def csv_module_bytes(header, columns):
+    """The reference bytes: csv.writer over ``str`` of each cell, ndarray columns via tolist()."""
+    buf = io_text.StringIO(newline="")
+    w = csv.writer(buf)
+    if header is not None:
+        w.writerow(header)
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    w.writerows(zip(*cells, strict=True))
+    return buf.getvalue().encode()
+
+
+class TestWriterMatchesCsvModule:
+    """write_table's bytes against the csv module writing str of each cell."""
+
+    TEXT = ["plain", "a,b", 'say "hi"', "two\r\nlines", "cr\rhere", "lf\nhere",
+            " spaced ", "", '""', '"', ",", "tab\there", "ünï"]
+
+    def check(self, tmp_path, header, columns):
+        p = tmp_path / "t.csv"
+        io.write_table(p, header, columns)
+        assert p.read_bytes() == csv_module_bytes(header, columns)
+        return p
+
+    def test_text_cells_and_header(self, tmp_path):
+        n = len(self.TEXT)
+        self.check(tmp_path, ["name", "n,1", 'q"uote', ""],
+                   [self.TEXT, np.arange(n), np.array(self.TEXT), list(reversed(self.TEXT))])
+
+    def test_one_column_with_empty_text(self, tmp_path):
+        p = self.check(tmp_path, ["name"], [["a", "", "b,c", ""]])
+        assert p.read_bytes() == b'name\r\na\r\n""\r\n"b,c"\r\n""\r\n'
+        self.check(tmp_path, [""], [np.array(["", "x"])])
+
+    def test_scalars_of_every_kind(self, tmp_path):
+        special = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 1e-05, 0.1]
+        values = [np.float64(0.1), np.float32(0.1), np.int64(-7), np.int32(12), np.bool_(True),
+                  True, False, None, 2**70, *special]
+        n = len(values)
+        self.check(tmp_path, ["v", "f", "b", "u"], [
+            values, np.resize(special, n), np.arange(n) % 3 == 0, np.arange(n, dtype=np.uint16),
+        ])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, tmp_path, offset):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, io._BLOCK_ROWS + offset, 2 * io._BLOCK_ROWS + offset):
+            self.check(tmp_path, ["i", "x", "name"],
+                       [np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+                        [f"n{i}" if i % 7 else f"n,{i}" for i in range(n)]])
+            self.check(tmp_path, ["x"], [rng.random(n)])
+
+
 class TestIoRoundTrips:
     def test_month_arithmetic(self):
         assert io.month_offset("2012-03", "2012-03") == 0
@@ -61,8 +115,12 @@ class TestIoRoundTrips:
                                   b"e,-0.0,1e+16\r\n"
                                   b"f,5e-324,12\r\n"
                                   b"g,2.0,0.5\r\n")
-        with pytest.raises(ValueError):
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="unequal lengths"):
             io.write_table(p, ["x", "y"], [[1, 2], [3]])
+        with pytest.raises(ValueError, match="unequal lengths"):
+            io.write_table(p, ["x", "y"], [np.arange(600.0), np.arange(599)])
+        assert p.read_bytes() == before  # checked before the file is opened
 
     def test_populations_with_and_without_header(self, tmp_path):
         pops = np.array([1234.5, 99.0, 150.0, 8.25e5])
@@ -124,10 +182,11 @@ class TestIoRoundTrips:
             np.testing.assert_array_equal(again.shares, series.shares)
 
     def test_matrix_round_trip(self, tmp_path):
-        m = np.array([[0.0, 0.25], [0.25, -1.5]])
         p = tmp_path / "m.csv"
-        io.write_matrix(p, m)
-        np.testing.assert_array_equal(io.read_matrix(p), m)
+        for m in (np.array([[0.0, 0.25, 1e16], [-0.0, 5e-324, -1.5]]), np.array([[2.5, 1e-05]])):
+            io.write_matrix(p, m)
+            assert p.read_bytes() == csv_module_bytes(None, m.T)
+            np.testing.assert_array_equal(io.read_matrix(p), m)
 
 
 class TestWalkersCommand:
@@ -190,6 +249,19 @@ class TestRankfitCommand:
         assert int(rep["dropped_top"]) == 4
         assert int(rep["n_effective"]) == 300
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_population_is_input_error(self, tmp_path, value):
+        pops = analytic_rank(solve_lambda(6e6, 1000, 150.0), np.arange(1, 51.0))
+        rows = [f"p{i},{v!r}" for i, v in enumerate(pops.tolist())]
+        rows.insert(20, f"p_bad,{value}")  # line 22: the header is line 1
+        src = tmp_path / "pops.csv"
+        src.write_text("place_name,population\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputDataError, match=f"line 22: population '{value}' is not finite"):
+            io.read_populations(src)
+        for drop_top in ("0", "4"):
+            assert main(["rankfit", "--input", str(src), "--drop-top", drop_top,
+                         "--out", str(tmp_path / "fit")]) == 2
+
     def test_empty_file_is_input_error(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text("")
@@ -212,6 +284,18 @@ class TestNetworkCommands:
         a, b = run("a"), run("b")
         assert a == b
         assert set(a) == {"edges.csv", "degrees.csv", "report.csv", "manifest.json"}
+
+    def test_sfin_tables_pinned(self, tmp_path):
+        # integer tables, so the digests hold at every supported numpy
+        out = tmp_path / "s"
+        assert main(["sfin", "--seed", "13", "--nodes", "2000", "--max-degree", "50",
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("edges.csv", "degrees.csv")}
+        assert digests == {
+            "edges.csv": "3b6e64661ba8d9ef486838f828376f840cb1ae7940aeb785867f8a303a9618db",
+            "degrees.csv": "6c70798eb56671a3792f1c941a72ac3daa870e14ef697f3337d7f6ec1cd51f59",
+        }
 
     def test_diffuse_small_run(self, tmp_path):
         out = tmp_path / "d"
