@@ -1,18 +1,19 @@
 """CSV schemas and run manifests for the batch CLI.
 
 Every table, a matrix included, goes through one writer, ``write_table``,
-which takes whole columns. A column from a numeric ndarray becomes Python
-scalars once (``tolist()``); any other cell, and every header cell, is
-``str`` of the value, quoted by ``csv``'s minimal rule: a cell holding
-``,``, ``"``, ``\r`` or ``\n`` is wrapped in ``"`` with ``"`` doubled, and
-the one cell of a one-column row is written ``""`` when empty. Rows go out
-in blocks of ``_BLOCK_ROWS``, one ``%``-format per block, and ``%s`` is
-``str``: a float is its shortest round-trip ``repr``, an integer its
-digits. Every file therefore reads back bit-exactly, identical runs
-produce identical bytes, and the bytes are those that the ``csv`` module's
-writer makes of the same cells. Manifests carry the full configuration,
-the seed, and the library versions of a run; they contain no timestamps on
-purpose.
+which takes whole columns. Rows go out in blocks of ``_BLOCK_ROWS``, one
+``%``-format per block, and ``%s`` is ``str``. A column from a numeric
+ndarray stays an array, and each block of it becomes Python scalars
+(``tolist()``) as it is written, so the table is never held as Python
+objects whole: a float is its shortest round-trip ``repr``, an integer its
+digits. Any other cell, and every header cell, is ``str`` of the value,
+quoted by ``csv``'s minimal rule: a cell holding ``,``, ``"``, ``\r`` or
+``\n`` is wrapped in ``"`` with ``"`` doubled, and the one cell of a
+one-column row is written ``""`` when empty. Every file therefore reads
+back bit-exactly, identical runs produce identical bytes, and the bytes
+are those that the ``csv`` module's writer makes of the same cells.
+Manifests carry the full configuration, the seed, and the library versions
+of a run; they contain no timestamps on purpose.
 """
 
 import csv
@@ -47,7 +48,9 @@ __all__ = [
     "month_shift",
 ]
 
-_BLOCK_ROWS = 512  # rows per %-format; whole-table blocks raise peak memory
+# rows per %-format, and per tolist() of a numeric column: the Python objects of
+# one block at a time, not of the whole table, are held
+_BLOCK_ROWS = 512
 
 
 def _text(value, alone):
@@ -59,10 +62,10 @@ def _text(value, alone):
 
 
 def _cells(column, alone):
-    """The cells of one column as Python scalars (numbers) or quoted text."""
+    """A numeric ndarray column as it is, any other column as quoted text cells."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "biuf":
-            return column.tolist()  # str of a Python number never needs quotes
+            return column  # str of a Python number never needs quotes
         column = column.tolist()
     return [_text(v, alone) for v in column]
 
@@ -87,19 +90,36 @@ def write_table(path, header, columns):
             block = min(_BLOCK_ROWS, n_rows - start)
             cells = [None] * (block * width)
             for j, column in enumerate(columns):
-                cells[j::width] = column[start:start + block]  # cell j of each row
+                part = column[start:start + block]
+                # cell j of each row; a numeric block becomes Python numbers here
+                cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
             fh.write((row * block) % tuple(cells))
 
 
 def read_table(path):
+    rows = [row for _, row in _numbered_rows(path)]
+    return rows[0], rows[1:]
+
+
+def _numbered_rows(path):
+    """(line number, row) of every csv row of ``path``, the header included.
+
+    A row's number is the file line it starts on: a quoted cell may span
+    lines, so rows and lines need not match one to one.
+    """
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"no such file: {path}")
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = []
+        start = 1
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
     if not rows:
         raise InputDataError(f"{path}: empty file")
-    return rows[0], rows[1:]
+    return rows
 
 
 def write_manifest(path, command, config, seed=None):
@@ -132,12 +152,10 @@ def read_populations(path) -> np.ndarray:
     data. Malformed rows and populations that are not finite (nan, inf) are
     reported with their line number.
     """
-    header, rows = read_table(path)
+    (_, header), *rows = _numbered_rows(path)
     names = [h.strip().lower() for h in header]
     if "population" in names:
         col = names.index("population")
-        data_rows = rows
-        first_line = 2
     else:
         # no header: every column must be numeric, population is the last
         try:
@@ -147,20 +165,17 @@ def read_populations(path) -> np.ndarray:
                 f"{path}: line 1: no 'population' column and header is not numeric"
             ) from exc
         col = len(header) - 1
-        data_rows = [header] + rows
-        first_line = 1
+        rows.insert(0, (1, header))
     out = []
-    for i, row in enumerate(data_rows):
+    for line, row in rows:
         if not row or all(not c.strip() for c in row):
             continue
         try:
             value = float(row[col])
         except (ValueError, IndexError) as exc:
-            raise InputDataError(f"{path}: line {first_line + i}: bad value {row!r}") from exc
+            raise InputDataError(f"{path}: line {line}: bad value {row!r}") from exc
         if not math.isfinite(value):
-            raise InputDataError(
-                f"{path}: line {first_line + i}: population {row[col]!r} is not finite"
-            )
+            raise InputDataError(f"{path}: line {line}: population {row[col]!r} is not finite")
         out.append(value)
     if not out:
         raise InputDataError(f"{path}: no population rows")
@@ -324,7 +339,7 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
         epoch_index = _month_index(epoch)
     except ValueError as exc:
         raise InputDataError(f"bad --epoch {epoch!r}: expected a 'YYYY-MM' month") from exc
-    header, rows = read_table(path)
+    (_, header), *rows = _numbered_rows(path)
     names = [h.strip() for h in header]
     if len(names) < 3 or names[0].lower() != "date":
         raise InputDataError(f"{path}: expected header 'date,<comp>,<comp>,...'")
@@ -335,14 +350,14 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
     components = tuple(names[j] for j in comp_cols)
     times = []
     shares = []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if not row or all(not c.strip() for c in row):
             continue
         try:
             times.append(float(_month_index(row[0]) - epoch_index))
             shares.append([float(row[j]) for j in comp_cols])
         except (ValueError, IndexError) as exc:
-            raise InputDataError(f"{path}: line {i + 2}: bad row {row!r}") from exc
+            raise InputDataError(f"{path}: line {line}: bad row {row!r}") from exc
     if not times:
         raise InputDataError(f"{path}: no data rows")
     order = np.argsort(times)

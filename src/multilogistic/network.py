@@ -8,7 +8,6 @@ x-space, and parameter extraction from an ensemble of growth processes).
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +71,18 @@ class Network:
             raise InputDataError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise InputDataError("self-loops are not allowed")
-        # COO to CSR yields canonical form: sorted neighbors, duplicates summed
+        # COO to CSR yields canonical form: sorted neighbors, duplicates summed.
+        # The COO indices are built in the index dtype that scipy keeps, which
+        # spares scipy a downcast copy of each.
         u, v = edges.T
+        nnz = 2 * u.size
+        index = np.int32 if max(node_count, nnz) <= np.iinfo(np.int32).max else np.int64
         graph = csr_matrix(
-            (np.ones(2 * u.size, dtype=np.int8), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            (np.ones(nnz, dtype=np.int8),
+             (np.concatenate([u, v], dtype=index), np.concatenate([v, u], dtype=index))),
             shape=(node_count, node_count),
         )
-        if graph.nnz < 2 * u.size:
+        if graph.nnz < nnz:
             raise InputDataError("duplicate edges are not allowed")
         cm = int(c_max) if c_max else int(np.diff(graph.indptr).max(initial=0))
         return cls(node_count, graph.indptr, graph.indices, cm)
@@ -156,18 +160,20 @@ def _check_graphical(deg: np.ndarray):
 
 
 def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
-    """Remove self-loops/duplicates by degree-preserving random swaps.
+    """Remove self-loops/duplicates from the (E, 2) int64 ``edges``, in place,
+    by degree-preserving random swaps; returns ``edges``.
 
     Each bad edge i (a self-loop, or a repeat of an earlier edge's key) draws
     a partner j and swaps (a, b), (c, d) to (a, d), (c, b) when that makes no
     loop and both new keys are unused; a pass over the bad list is followed
     by a rescan. An edge's key is min * span + max of its endpoints. A scan
     is one argsort of the keys: the kept edge of each key group is its
-    smallest index, and the first scan's groups give the key multiplicities.
-    The swap loop reads a count from those sorted keys, unless the loop has
-    changed it (then from a dict of its own changes).
+    smallest index, and the first scan's groups give the sorted distinct keys
+    and their multiplicities, kept as arrays. The swap loop looks a count up
+    there with searchsorted, unless the loop has changed it (then in a dict
+    of its own changes): it looks up a few thousand of the 190k keys of a
+    20000-node graph, too few to turn them all into Python ints.
     """
-    edges = np.array(edges, dtype=np.int64)
     n_edges = edges.shape[0]
     span = int(edges.max()) + 1
 
@@ -175,28 +181,32 @@ def _repair_simple(edges: np.ndarray, rng) -> np.ndarray:
         return min(u, v) * span + max(u, v)
 
     def scan():
-        # sorted distinct keys, their counts, and the bad edges: self-loops and repeats
-        lo = np.minimum(edges[:, 0], edges[:, 1])
+        # the sorted keys, where each distinct key starts among them, and the
+        # bad edges (self-loops and repeats); temporaries go as soon as they are used
+        keys = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = lo * span + hi
+        loops = keys == hi
+        keys *= span
+        keys += hi
+        del hi
         order = np.argsort(keys)
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         repeat = np.ones(n_edges, dtype=bool)
         repeat[np.minimum.reduceat(order, starts)] = False
-        bad = np.flatnonzero((lo == hi) | repeat).tolist()
-        return sorted_keys[starts], np.diff(starts, append=n_edges), bad
+        return keys, starts, np.flatnonzero(loops | repeat).tolist()
 
-    uniq, mult, bad = scan()
-    uniq, mult = uniq.tolist(), mult.tolist()
+    keys, starts, bad = scan()
+    uniq, mult = keys[starts], np.diff(starts, append=n_edges)
+    del keys, starts
     changed = {}
 
     def count(k):
         # self-loops' keys are counted too; no swap tests them, as k1 and k2 join two nodes
         if k in changed:
             return changed[k]
-        pos = bisect_left(uniq, k)
-        return mult[pos] if pos < len(uniq) and uniq[pos] == k else 0
+        pos = int(uniq.searchsorted(k))
+        return int(mult[pos]) if pos < uniq.size and uniq[pos] == k else 0
 
     def add(k, delta):
         changed[k] = count(k) + delta

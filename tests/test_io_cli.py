@@ -4,6 +4,7 @@ import io as io_text
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,28 @@ class TestWriterMatchesCsvModule:
                        [np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
                         [f"n{i}" if i % 7 else f"n,{i}" for i in range(n)]])
             self.check(tmp_path, ["x"], [rng.random(n)])
+            # numeric columns become Python numbers block by block: narrow
+            # dtypes, bool, and the strided rows of a transposed 2-D array
+            pairs = rng.integers(-2**40, 2**40, (n, 2))
+            self.check(tmp_path, ["u", "v", "i32", "b", "f32"], [
+                *pairs.T, rng.integers(-2**31, 2**31, n, dtype=np.int32), rng.random(n) < 0.5,
+                rng.random(n).astype(np.float32),
+            ])
+            self.check(tmp_path, None, pairs.T)
+
+    def test_numbers_converted_per_block(self, tmp_path):
+        # a 200k x 2 int64 table: only one block's Python ints at a time are
+        # held, not the whole table's 400k (about 15 MB)
+        table = np.arange(400_000, dtype=np.int64).reshape(2, -1)
+        p = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            io.write_table(p, ["u", "v"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert p.read_bytes() == csv_module_bytes(["u", "v"], table)
 
 
 class TestIoRoundTrips:
@@ -136,6 +159,21 @@ class TestIoRoundTrips:
 
         with pytest.raises(InputDataError, match="line 3"):
             io.read_populations(p)
+
+    def test_line_numbers_count_quoted_line_breaks(self, tmp_path):
+        # a quoted cell that spans two lines: the bad row is on line 4, the third
+        # row; a bad row that spans lines is reported where it starts
+        pops = tmp_path / "pops.csv"
+        pops.write_text('place_name,population\n"two\nlines",100\nb,xx\n')
+        with pytest.raises(InputDataError, match="pops.csv: line 4: bad value"):
+            io.read_populations(pops)
+        pops.write_text('place_name,population\na,1\n"two\nlines",xx\nb,2\n')
+        with pytest.raises(InputDataError, match="pops.csv: line 3: bad value"):
+            io.read_populations(pops)
+        shares = tmp_path / "shares.csv"
+        shares.write_text('date,"fire\nfox",chrome\n2012-03,50,50\n2012-04,xx,50\n')
+        with pytest.raises(InputDataError, match="shares.csv: line 4: bad row"):
+            io.read_share_csv(shares, "2012-03")
 
     def test_edges_round_trip(self, tmp_path):
         from multilogistic import generate_sfin

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -104,6 +105,15 @@ def _repair_outcome(repair, edges, rng):
     except NumericsError as exc:
         out = str(exc)
     return out, json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _traced_peak(call):
+    # call()'s result and the peak of the memory it allocated, in bytes
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_erdos_gallai(deg):
@@ -252,6 +262,25 @@ class TestGenerateSfin:
         e = generate_sfin(nodes, c_max, seed).edge_array()
         assert e.shape == (edges, 2)
         assert hashlib.sha256(e.tobytes()).hexdigest() == digest
+
+    def test_generate_in_bounded_memory(self):
+        # graph 31 (190342 edges): the stubs are 3 MB of int64, repaired in
+        # place. The repair keeps the distinct keys and their counts as arrays,
+        # and from_edges builds the COO in int32: about 12 MB at peak (28 MB
+        # with the keys as Python ints and an int64 COO)
+        _, peak = _traced_peak(lambda: generate_sfin(20000, 100, 31))
+        assert peak < 17 * 2**20
+
+    def test_from_edges_in_bounded_memory(self):
+        # the COO indices are built in int32, the dtype that scipy keeps: about
+        # 5 MB at peak (11 MB with 6 MB of int64 indices for scipy to copy down)
+        net = generate_sfin(20000, 100, 31)
+        edges = net.edge_array()
+        back, peak = _traced_peak(lambda: Network.from_edges(net.node_count, edges))
+        assert peak < 8 * 2**20
+        assert back.indices.dtype == np.int32
+        assert np.array_equal(back.indptr, net.indptr)
+        assert np.array_equal(back.indices, net.indices)
 
 
 class TestGrowCluster:
