@@ -217,6 +217,8 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if args.horizon < 0:
+        raise InputDataError(f"--horizon must be 0 or more months, got {args.horizon}")
     out = _out_dir(args)
     series = io.read_share_csv(args.input, args.epoch, renormalize=args.renormalize)
     if args.reference not in series.components:
@@ -348,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--reference", required=True, help="reference component name")
     p.add_argument("--epoch", required=True, help="t=0 month, e.g. 2012-03")
-    p.add_argument("--horizon", type=int, default=60, help="months past the epoch")
+    p.add_argument("--horizon", type=int, default=60,
+                   help="months past the epoch; 0 writes only the fitted months")
     p.add_argument("--form", choices=("exponential", "linear"), default="exponential")
     p.add_argument("--n-prime-factor", type=float, default=1.0)
     p.add_argument("--renormalize", action="store_true",
@@ -360,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="dense CSV rate matrix")
     p.add_argument("--initial", required=True, help="comma-separated populations")
     p.add_argument("--total", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=5.0)
+    p.add_argument("--t-end", type=float, default=5.0,
+                   help="end time; must be a whole number of --dt steps")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_itm)

@@ -6,12 +6,17 @@ correction removes the mean growth, which couples the components:
 
     dx_i/dt = x_i * (k_i - sum_j k_j x_j / total)
 
-For rates that are constant (or given through cumulative exponents h_i(t))
-the flow has an exact solution: exponential reweighting of the initial
-populations, rescaled to the total. ``integrate`` provides the numerical
-companion, ``closed_form`` the exact one.
+This is the paper's derivation: scale-invariant growth dy_i/dt = k_i y_i,
+whose solutions are unchanged by rescaling y, projected onto the mean-value
+constraint sum(x) = total, x = total * y / sum(y). For rates that are
+constant (or given through cumulative exponents h_i(t)) the flow therefore
+has an exact solution: exponential reweighting of the initial populations,
+rescaled to the total. ``closed_form`` provides it; ``integrate`` is the
+numerical companion, classical RK4 on the linear flow followed by the same
+projection after every step.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +37,7 @@ __all__ = [
     "share_composition",
     "integrate",
     "sigmoid",
+    "step_count",
 ]
 
 
@@ -196,24 +202,51 @@ def closed_form(x0, rates, total: float, t) -> np.ndarray:
     return share_composition(x0, h, total)
 
 
+def step_count(t_end: float, dt: float, width: int) -> int:
+    """Number of ``dt`` steps from 0 to ``t_end``, checked before anything is allocated.
+
+    ``width`` is the length of a trajectory row. Raises ``InputDataError``
+    unless ``dt`` is finite and positive, ``t_end`` finite and non-negative,
+    ``t_end`` a whole number of steps (within 1e-9 relative), and the
+    (steps + 1, width) float trajectory smaller than numpy can index.
+    """
+    if not 0.0 < dt < math.inf:
+        raise InputDataError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 <= t_end < math.inf:
+        raise InputDataError(f"t_end must be finite and non-negative, got {t_end}")
+    count = t_end / dt
+    if not (count + 1.0) * width * 8.0 < np.iinfo(np.intp).max:
+        raise InputDataError(f"t_end={t_end!r} over dt={dt!r} is {count:.6g} steps, "
+                             f"more than a trajectory of {width} columns can hold")
+    steps = round(count)
+    if abs(count - steps) > 1e-9 * count:
+        raise InputDataError(f"t_end={t_end!r} is not a whole number of steps of "
+                             f"dt={dt!r} ({count:.6g} steps)")
+    return steps
+
+
 def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     """Classical 4th-order fixed-step integration of the rate equation.
 
-    Steps from the initial state to ``t_end`` in increments of ``dt`` and
-    rescales the state by total/sum(x) after every step, so each trajectory
-    row sums to ``total`` exactly up to rounding. Accepts ``ConstantRates``,
-    a bare rate vector, or ``ParametricRates``.
+    Steps from the initial state to ``t_end`` in increments of ``dt``;
+    ``t_end`` must be a whole number of steps (``step_count``). Accepts
+    ``ConstantRates``, a bare rate vector, or ``ParametricRates``.
+
+    RK4 is applied to the scale-invariant linear flow dy/dt = k(t)*y, and
+    each step's state is projected back onto sum(x) = total
+    (``kernels.integrate_constant``): the same two ingredients as the
+    closed form, so every trajectory row sums to ``total`` exactly up to
+    rounding, and a uniform shift of the rates leaves the trajectory
+    unchanged up to rounding.
     """
     t0 = x0.t if isinstance(x0, PopulationState) else 0.0
     x_init = _as_population_vector(x0)
-    if not dt > 0.0:
-        raise InputDataError("dt must be positive")
     if not total > 0.0:
         raise InputDataError("total must be positive")
     if isinstance(rates, StochasticRates):
         raise InputDataError("stochastic rates are handled by the walker ensemble")
 
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt, x_init.shape[0])
     times = t0 + dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, x_init.shape[0]))
     traj[0] = x_init

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .core import step_count
 from .errors import InputDataError, NumericsError
 
 __all__ = [
@@ -118,16 +119,19 @@ class AmplitudeTrajectory:
 def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
     """Fixed-step 4th-order integration, rescaled to unit norm every step.
 
+    The flow is the linear flow dchi/dt = K chi/2 projected onto the unit
+    sphere, the amplitude form of scale-invariant growth under the
+    conserved total. Each step is RK4 of the linear flow, one fixed matrix
+    applied to chi, followed by the projection
+    (``kernels.amplitude_evolve``). ``t_end`` must be a whole number of
+    steps (``core.step_count``).
+
     ``coupling`` is either a symmetric matrix or a callable chi -> matrix
     (a self-consistent rate functional), evaluated once per step and held
     fixed across the step's internal stages.
     """
     chi = _as_unit_amplitude(chi0)
-    if not 0.0 < dt < np.inf:
-        raise InputDataError(f"dt must be finite and positive, got {dt}")
-    if not 0.0 <= t_end < np.inf:
-        raise InputDataError(f"t_end must be finite and non-negative, got {t_end}")
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt, chi.size)
     times = dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, chi.size))
     traj[0] = chi

@@ -2,6 +2,14 @@
 
 The cluster BFS is scipy's compiled breadth-first order, not a numpy loop.
 
+The two RK4 kernels follow the paper's derivation of the logistic equation:
+scale-invariant growth dy/dt = r*y, then the mean-value constraint
+sum(x) = total. Both the conserved-total equation and the amplitude flow are
+a linear flow projected onto a constraint (the total; the unit sphere), so
+each kernel takes classical RK4 of the linear flow, which on a linear flow is
+one multiplier per step (the degree-4 Taylor polynomial of exp(dt A)), and
+projects back onto the constraint after every step.
+
 The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
 as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
 ``perfbench/`` times every kernel inside the CLI jobs that use it.
@@ -106,36 +114,70 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
 # Fixed-step 4th-order integration of the conserved-total growth equation
 # ---------------------------------------------------------------------------
 
+# steps of per-step rates turned into multipliers at a time
+_BLOCK_STEPS = 1024
+
+
+def _log_multiplier(r0, rm, r1, dt):
+    """log g of the RK4 step y -> g*y of dy/dt = r(t)*y, per component.
+
+    ``r0``, ``rm`` and ``r1`` are the rates at the start, middle and end of
+    the step, (n,) or one row per step. Each is centred on its mean first.
+    """
+    r0, rm, r1 = (r - r.mean(axis=-1, keepdims=True) for r in (r0, rm, r1))
+    a2 = rm * (1.0 + 0.5 * dt * r0)
+    a3 = rm * (1.0 + 0.5 * dt * a2)
+    a4 = r1 * (1.0 + dt * a3)
+    return np.log1p(dt / 6.0 * (r0 + 2.0 * (a2 + a3) + a4))
+
 
 def integrate_constant(traj, rates, total, dt):
     """Fill ``traj[1:]`` by classical RK4 from ``traj[0]``.
 
     ``rates`` is an (n,) vector for constant rates, or a (steps, 3, n) array
-    holding the rates at the start, middle and end of every step. After
-    every step the state is rescaled by total/sum(x), removing the
-    integrator's drift off the conservation constraint exactly.
+    holding the rates at the start, middle and end of every step.
 
-    Returns -1 on success, else the first step index with a non-finite state.
+    The conserved-total equation is the scale-invariant growth dy/dt = r*y
+    projected onto the constraint sum(x) = total: x is y rescaled to the
+    total, whatever the rescale was at earlier times. So RK4 is applied to
+    the linear flow and the state is projected after every step. For
+    dy/dt = r(t)*y one RK4 step multiplies each component by
+
+        a1 = r0, a2 = rm(1 + dt a1/2), a3 = rm(1 + dt a2/2), a4 = r1(1 + dt a3)
+        g  = 1 + dt/6 (a1 + 2 a2 + 2 a3 + a4),
+
+    the degree-4 Taylor polynomial of exp(dt r) for constant rates. Each
+    stage's rates are centred on their mean (a uniform shift leaves the
+    projected flow unchanged), which keeps g near 1. Row s of ``traj`` is
+    then ``traj[0]`` reweighted by the product of the multipliers of the
+    steps before it and rescaled to ``total``: a ``cumsum`` of log g, the
+    largest entry of each row subtracted before ``exp``. Constant rates
+    broadcast one (n,) multiplier over the steps; per-step rates are turned
+    into multipliers a block of steps at a time. Apart from that block, the
+    kernel allocates only per-row scalars besides ``traj``.
+
+    Returns -1 on success, else the first step whose multiplier is not
+    finite and positive. For real constant rates it always is: an
+    even-degree Taylor polynomial of exp has no real root.
     """
-    steps = traj.shape[0] - 1
-    x = traj[0].copy()
-    # (steps, n) rows of the rates at the start, middle and end of each step
-    start, mid, end = np.broadcast_to(rates, (steps, 3, x.shape[0])).transpose(1, 0, 2)
-
-    def rhs(y, r):
-        return y * (r - np.dot(r, y) / total)
-
-    for s, (r0, rm, r1) in enumerate(zip(start, mid, end)):
-        k1 = rhs(x, r0)
-        k2 = rhs(x + 0.5 * dt * k1, rm)
-        k3 = rhs(x + 0.5 * dt * k2, rm)
-        k4 = rhs(x + dt * k3, r1)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc = x.sum()
-        if not (acc > 0.0 and np.isfinite(acc)):
-            return s
-        x *= total / acc
-        traj[s + 1] = x
+    h = traj[1:]
+    # a non-finite or non-positive multiplier makes log g, and every
+    # cumulative sum from its step on, non-finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if rates.ndim == 1:
+            np.cumsum(np.broadcast_to(_log_multiplier(rates, rates, rates, dt), h.shape),
+                      axis=0, out=h)
+        else:
+            for lo in range(0, h.shape[0], _BLOCK_STEPS):
+                h[lo:lo + _BLOCK_STEPS] = _log_multiplier(
+                    *rates[lo:lo + _BLOCK_STEPS].transpose(1, 0, 2), dt)
+            np.cumsum(h, axis=0, out=h)
+    if not np.isfinite(traj[-1]).all():
+        return int(np.argmin(np.isfinite(h).all(axis=1)))
+    h -= h.max(axis=1, keepdims=True)
+    np.exp(h, out=h)
+    h *= traj[0]
+    h *= total / h.sum(axis=1, keepdims=True)
     return -1
 
 
@@ -188,26 +230,36 @@ def bfs_layer_sizes(indptr, indices, seed):
 def amplitude_evolve(traj, coupling, dt):
     """Fill ``traj[1:]`` from ``traj[0]`` under dc/dt = (K c - <c,Kc>/<c,c> c)/2.
 
-    The state is rescaled to unit norm after every step. Returns -1 on
-    success, else the first failing step index.
+    The flow is the linear flow dc/dt = K c/2 projected onto the unit
+    sphere, so RK4 is applied to the linear flow and the state is
+    renormalised after every step. RK4 on a linear flow is one matrix, the
+    degree-4 Taylor polynomial of exp(a) with a = (dt/2)(K - tr K/n I),
+
+        M = I + a(I + a/2(I + a/3(I + a/4))),
+
+    built once; each step is ``c = M @ c`` and a rescale to unit norm.
+    Removing the mean diagonal shifts K uniformly, which leaves the
+    projected flow unchanged and keeps M near I. M is kept as E = M - I and
+    applied as ``c + E @ c``: a rounding of M itself would repeat in every
+    step, while one of E is smaller by the size of E.
+
+    Returns -1 on success, else the first step index whose squared norm is
+    not finite and positive.
     """
-    steps = traj.shape[0] - 1
-    c = traj[0].copy()
-
-    def rhs(v):
-        kv = coupling @ v
-        q = np.dot(v, kv) / np.dot(v, v)
-        return 0.5 * (kv - q * v)
-
-    for s in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc = np.dot(c, c)
-        if not (acc > 0.0 and np.isfinite(acc)):
+    n = coupling.shape[0]
+    eye = np.eye(n)
+    a = (0.5 * dt) * (coupling - np.trace(coupling) / n * eye)
+    e = a / 4.0
+    for j in (3.0, 2.0, 1.0):
+        e = (a / j) @ (eye + e)
+    c = traj[0]
+    for s in range(traj.shape[0] - 1):
+        nxt = traj[s + 1]
+        e.dot(c, out=nxt)
+        nxt += c
+        acc = float(nxt.dot(nxt))
+        if not (acc > 0.0 and math.isfinite(acc)):
             return s
-        c /= math.sqrt(acc)
-        traj[s + 1] = c
+        nxt /= math.sqrt(acc)
+        c = nxt
     return -1

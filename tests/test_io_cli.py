@@ -521,6 +521,17 @@ class TestBadInput:
          "density_times"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "-1"], "t_end"),
         (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "inf"], "dt"),
+        # step counts are checked before the trajectory is allocated
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "1", "--dt", "1e-300"],
+         "t_end=1.0 over dt=1e-300 is 1e+300 steps"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--dt", "5e-324"],
+         "t_end=5.0 over dt=5e-324 is inf steps"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "1e300", "--dt", "0.01"],
+         "t_end=1e+300 over dt=0.01 is 1e+302 steps"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "1", "--dt", "0.3"],
+         "t_end=1.0 is not a whole number of steps of dt=0.3"),
+        (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "1", "--dt", "1e300"],
+         "t_end=1.0 is not a whole number of steps of dt=1e+300"),
         (["itm", "--matrix", "{matrix_empty}", "--initial", "50,50"],
          "matrix_empty.csv: expected one or more rows"),
         (["itm", "--matrix", "{matrix_non_numeric}", "--initial", "50,50"],
@@ -536,13 +547,16 @@ class TestBadInput:
          "--epoch"),
         (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "march"],
          "--epoch"),
+        (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
+          "--horizon", "-1"], "--horizon"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
-            "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-matrix-empty",
+            "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-dt-tiny", "itm-dt-subnormal",
+            "itm-t-end-huge", "itm-t-end-partial-step", "itm-dt-huge", "itm-matrix-empty",
             "itm-matrix-non-numeric", "rankfit-drop-top",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
-            "forecast-epoch-text"])
+            "forecast-epoch-text", "forecast-horizon-negative"])
     @pytest.mark.filterwarnings("error")
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"

@@ -1,9 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from multilogistic import kernels
+from multilogistic import (
+    NumericsError,
+    ParametricRates,
+    closed_form,
+    integrate,
+    itm_evolve,
+    kernels,
+    share_composition,
+)
 from multilogistic.maxent import analytic_rank, solve_lambda
 
 
@@ -172,3 +181,193 @@ class TestDispatch:
                                            got) == 97
         assert got.tolist() == want.tolist()
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# RK4 kernels: the projected linear flow against RK4 of the projected flow
+# ---------------------------------------------------------------------------
+
+
+def _reference_integrate(traj, rates, total, dt):
+    # classical RK4 of the nonlinear conserved-total equation itself, one
+    # step at a time, rescaled to the total after every step: the definition
+    # kernels.integrate_constant must agree with to fourth order
+    steps = traj.shape[0] - 1
+    x = traj[0].copy()
+    start, mid, end = np.broadcast_to(rates, (steps, 3, x.shape[0])).transpose(1, 0, 2)
+
+    def rhs(y, r):
+        return y * (r - np.dot(r, y) / total)
+
+    for s, (r0, rm, r1) in enumerate(zip(start, mid, end)):
+        k1 = rhs(x, r0)
+        k2 = rhs(x + 0.5 * dt * k1, rm)
+        k3 = rhs(x + 0.5 * dt * k2, rm)
+        k4 = rhs(x + dt * k3, r1)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = x.sum()
+        if not (acc > 0.0 and np.isfinite(acc)):
+            return s
+        x *= total / acc
+        traj[s + 1] = x
+    return -1
+
+
+def _reference_amplitude(traj, coupling, dt):
+    # classical RK4 of the norm-preserving nonlinear amplitude flow,
+    # renormalised after every step
+    c = traj[0].copy()
+
+    def rhs(v):
+        kv = coupling @ v
+        q = np.dot(v, kv) / np.dot(v, v)
+        return 0.5 * (kv - q * v)
+
+    for s in range(traj.shape[0] - 1):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * dt * k1)
+        k3 = rhs(c + 0.5 * dt * k2)
+        k4 = rhs(c + dt * k3)
+        c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = np.dot(c, c)
+        if not (acc > 0.0 and np.isfinite(acc)):
+            return s
+        c /= math.sqrt(acc)
+        traj[s + 1] = c
+    return -1
+
+
+def _system(seed, n=6):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0.5, 10.0, n)
+    return x0, rng.uniform(-2.0, 2.0, n), float(x0.sum())
+
+
+# h(t) = (0, t^2/2, sin 2t, -t^3/3): rates that change within every step
+_PARAMETRIC = ParametricRates(
+    exponents=lambda t: np.array([0.0, 0.5 * t**2, math.sin(2.0 * t), -t**3 / 3.0]),
+    derivative=lambda t: np.array([0.0, t, 2.0 * math.cos(2.0 * t), -t**2]),
+)
+
+
+def _stage_rates(rates, steps, dt):
+    # the (steps, 3, n) rates core.integrate hands the kernel
+    times = dt * np.arange(steps)
+    return np.array([[rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)]
+                     for t in times.tolist()])
+
+
+def _random_symmetric(rng, n):
+    m = rng.normal(0.0, 1.0, size=(n, n))
+    return 0.5 * (m + m.T)
+
+
+class TestRk4Agreement:
+    dt = 1e-3
+
+    def _agree(self, kernel, reference, x0, steps, *args):
+        want = np.empty((steps + 1, x0.size))
+        got = np.empty((steps + 1, x0.size))
+        want[0] = got[0] = x0
+        assert reference(want, *args, self.dt) == -1
+        assert kernel(got, *args, self.dt) == -1
+        return got, want
+
+    @staticmethod
+    def _assert_unit_rows_agree(got, want):
+        # amplitudes may cross zero, so the error is taken relative to the
+        # rows' unit norm
+        assert np.linalg.norm(got - want, axis=1).max() <= 1e-9
+
+    def test_constant_rates(self):
+        x0, rates, total = _system(1)
+        got, want = self._agree(kernels.integrate_constant, _reference_integrate, x0, 3000,
+                                rates, total)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_parametric_rates(self):
+        x0 = np.array([40.0, 30.0, 20.0, 10.0])
+        rates = _stage_rates(_PARAMETRIC, 2000, self.dt)
+        got, want = self._agree(kernels.integrate_constant, _reference_integrate, x0, 2000,
+                                rates, 100.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_coupled_symmetric_matrix(self):
+        rng = np.random.default_rng(2)
+        k = _random_symmetric(rng, 7)
+        chi0 = rng.uniform(0.1, 1.0, 7)
+        chi0 /= np.linalg.norm(chi0)
+        self._assert_unit_rows_agree(
+            *self._agree(kernels.amplitude_evolve, _reference_amplitude, chi0, 3000, k))
+
+    def test_callable_coupling(self):
+        rng = np.random.default_rng(3)
+        base = _random_symmetric(rng, 4)
+
+        def coupling(chi):
+            return base + np.diag(0.5 * chi**2)
+
+        chi0 = np.full(4, 0.5)
+        got = itm_evolve(chi0, coupling, 2.0, self.dt).states
+        want = np.empty_like(got)
+        want[0] = chi0
+        for s in range(want.shape[0] - 1):  # itm_evolve's loop over the reference
+            assert _reference_amplitude(want[s:s + 2], coupling(want[s]), self.dt) == -1
+        self._assert_unit_rows_agree(got, want)
+
+
+def _max_rel_error(traj, exact):
+    return float(np.max(np.abs(traj.states - exact) / np.abs(exact)))
+
+
+class TestRk4Accuracy:
+    def test_fourth_order_constant_rates(self):
+        x0, rates, total = _system(4)
+        err = [_max_rel_error(t := integrate(x0, rates, total, 2.0, dt),
+                              closed_form(x0, rates, total, t.times))
+               for dt in (0.05, 0.025)]
+        assert 12.0 <= err[0] / err[1] <= 20.0
+
+    def test_fourth_order_parametric_rates(self):
+        x0 = np.array([40.0, 30.0, 20.0, 10.0])
+        err = []
+        for dt in (0.05, 0.025):
+            traj = integrate(x0, _PARAMETRIC, 100.0, 2.0, dt)
+            h = np.array([_PARAMETRIC.exponents(t) for t in traj.times])
+            err.append(_max_rel_error(traj, share_composition(x0, h, 100.0)))
+        assert 12.0 <= err[0] / err[1] <= 20.0
+
+    def test_nan_rates_fail_at_their_first_step(self):
+        # the rates at the end of step 49 (t = 0.5) are the first NaN ones
+        rates = ParametricRates(
+            exponents=lambda t: np.zeros(3),
+            derivative=lambda t: np.full(3, np.nan) if t >= 0.5 else np.array([0.1, 0.2, 0.3]),
+        )
+        x0 = np.array([20.0, 30.0, 50.0])
+        with pytest.raises(NumericsError, match="at step 49$"):
+            integrate(x0, rates, 100.0, 1.0, 1e-2)
+        stage = _stage_rates(rates, 100, 1e-2)
+        traj = np.empty((101, 3))
+        traj[0] = x0
+        assert _reference_integrate(traj, stage, 100.0, 1e-2) == 49
+        assert kernels.integrate_constant(traj, stage, 100.0, 1e-2) == 49
+
+    def test_uniform_rate_shift(self):
+        x0, rates, total = _system(5)
+        a = integrate(x0, rates, total, 5.0, 1e-3).states
+        b = integrate(x0, rates + 3.7, total, 5.0, 1e-3).states
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+    def test_bounded_memory(self):
+        # constant rates: the trajectory and its times are the only
+        # allocations that grow with the step count
+        x0, rates, total = _system(6, n=10)
+        integrate(x0, rates, total, 0.1, 1e-3)  # warm up
+        tracemalloc.start()
+        try:
+            traj = integrate(x0, rates, total, 5.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (5001, 10)
+        assert peak < 2 * traj.states.nbytes
