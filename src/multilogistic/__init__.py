@@ -20,8 +20,6 @@ from .core import (
     ConstantRates,
     LogisticParams,
     ParametricRates,
-    PopulationState,
-    StochasticRates,
     Trajectory,
     closed_form,
     integrate,

@@ -183,6 +183,10 @@ def cmd_diffuse(args) -> int:
     total = float(net.node_count)
     params = network.fit_kernel(sizes, total)
     stats = network.growth_statistics(sizes, total)
+    times = args.density_times
+    x_grid = np.geomspace(1.0, total - 1.0, 400)
+    # before the first file is written: a density time can still be rejected
+    density = np.concatenate([network.kernel_density(params, x_grid, t) for t in times])
     slope = _write_degree_files(out, net)
 
     io.write_processes(out / "processes.csv", sizes)
@@ -200,11 +204,8 @@ def cmd_diffuse(args) -> int:
         "dt": params.dt,
         "degree_loglog_slope": slope,
     })
-    times = args.density_times
-    x_grid = np.geomspace(1.0, total - 1.0, 400)
     io.write_table(out / "density.csv", ["t", "x", "density"],
-                   [np.repeat(times, x_grid.size), np.tile(x_grid, len(times)),
-                    np.concatenate([network.kernel_density(params, x_grid, t) for t in times])])
+                   [np.repeat(times, x_grid.size), np.tile(x_grid, len(times)), density])
     _manifest(out, args, "diffuse")
     print(f"diffuse: drift={params.drift:.4g} D={params.diff_coeff:.4g} "
           f"sigma={params.sigma:.4g} slope={slope:.3f} -> {out}")

@@ -26,11 +26,9 @@ from . import kernels
 from .errors import InputDataError, NumericsError
 
 __all__ = [
-    "PopulationState",
     "LogisticParams",
     "ConstantRates",
     "ParametricRates",
-    "StochasticRates",
     "Trajectory",
     "mcle_rhs",
     "closed_form",
@@ -39,25 +37,6 @@ __all__ = [
     "sigmoid",
     "step_count",
 ]
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Populations of the n components at one instant."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.x.ndim != 1 or self.x.size == 0:
-            raise InputDataError("state must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(self.x)) or np.any(self.x <= 0.0):
-            raise InputDataError("populations must be finite and positive")
-
-    @property
-    def total(self) -> float:
-        return float(self.x.sum())
 
 
 @dataclass(frozen=True)
@@ -109,39 +88,14 @@ class ParametricRates:
 
 
 @dataclass(frozen=True)
-class StochasticRates:
-    """Noisy rates k_i = mean_i + sigma_i * xi sampled once per interval dt."""
-
-    mean: np.ndarray
-    sigma: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.mean.shape != self.sigma.shape or self.mean.ndim != 1:
-            raise InputDataError("mean and sigma must be 1-d vectors of equal length")
-        if not self.dt > 0.0:
-            raise InputDataError("dt must be positive")
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step solution samples: times[j] paired with states[j]."""
+    """Fixed-step samples: times[j] paired with states[j] (populations or amplitudes)."""
 
     times: np.ndarray
     states: np.ndarray
 
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def state(self, j: int) -> PopulationState:
-        return PopulationState(self.states[j], float(self.times[j]))
-
 
 def _as_population_vector(x) -> np.ndarray:
-    if isinstance(x, PopulationState):
-        return x.x
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputDataError("expected a non-empty 1-d population vector")
@@ -239,28 +193,23 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     rounding, and a uniform shift of the rates leaves the trajectory
     unchanged up to rounding.
     """
-    t0 = x0.t if isinstance(x0, PopulationState) else 0.0
     x_init = _as_population_vector(x0)
     if not total > 0.0:
         raise InputDataError("total must be positive")
-    if isinstance(rates, StochasticRates):
-        raise InputDataError("stochastic rates are handled by the walker ensemble")
 
     n_steps = step_count(t_end, dt, x_init.shape[0])
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, x_init.shape[0]))
     traj[0] = x_init
 
     if isinstance(rates, ParametricRates):
-        # rates at the start, middle and end of every step
-        k = np.empty((n_steps, 3, x_init.size))
-        for s, t in enumerate(times[:-1].tolist()):
-            step = rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)
-            for r in step:
-                if r.shape != x_init.shape:
-                    raise InputDataError(f"rates_at returned shape {r.shape}, expected "
-                                         f"{x_init.shape} (one rate per population)")
-            k[s] = step
+        # rates on the half-step grid: step s reads rows 2s, 2s + 1 and 2s + 2
+        k = [rates.rates_at(t) for t in (0.5 * dt * np.arange(2 * n_steps + 1)).tolist()]
+        shape = next((r.shape for r in k if r.shape != x_init.shape), None)
+        if shape is not None:
+            raise InputDataError(f"rates_at returned shape {shape}, expected "
+                                 f"{x_init.shape} (one rate per population)")
+        k = np.array(k)
     else:
         k = rates.rates if isinstance(rates, ConstantRates) else np.asarray(rates, float)
         if k.shape != x_init.shape:

@@ -213,19 +213,24 @@ def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
             rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1 if header else 0,
                               ndmin=2)
         except ValueError as exc:
-            raise InputDataError(f"{path}: {_first_bad_row(path, header, dtype) or exc}") from exc
+            for _ in _loadtxt_lines(path, header, dtype):  # raises at the first bad line
+                pass
+            raise InputDataError(f"{path}: {exc}") from exc
     if rows.size == 0 or header and rows.shape[1] != len(header):
         width = f"{len(header)} " if header else ""
         raise InputDataError(f"{path}: expected one or more rows of {width}{dtype.__name__} values")
     return rows
 
 
-def _lines(path, header, dtype):
-    """(line number, text, row) of each line below the header.
+def _loadtxt_lines(path, header, dtype):
+    """(line number, row) of each data line below the header, in file order.
 
-    ``row`` is np.loadtxt's reading of the line on its own: empty for a
-    comment or blank line, None where loadtxt rejects the line.
+    ``row`` is np.loadtxt's reading of the line on its own; comment and
+    blank lines yield nothing. Raises InputDataError, 'line N: bad row ...',
+    at the first line that loadtxt rejects or whose width differs from the
+    header's (without a header, from the first data row's).
     """
+    width = len(header) if header else None
     with Path(path).open() as fh:
         for number, line in enumerate(fh, start=1):
             if number == 1 and header:
@@ -236,28 +241,12 @@ def _lines(path, header, dtype):
                     row = np.loadtxt([line], dtype=dtype, delimiter=",", ndmin=1)
                 except ValueError:
                     row = None
-            yield number, line, row
-
-
-def _first_bad_row(path, header, dtype):
-    """'line N: bad row ...' for the first data row that np.loadtxt cannot read on its own.
-
-    A row is bad if loadtxt rejects it, or if its width differs from the
-    header's (without a header, from the first data row's).
-    """
-    width = len(header) if header else None
-    for number, line, row in _lines(path, header, dtype):
-        if row is not None:
-            width = width or row.size  # comments and blank lines are empty
-        if row is None or row.size not in (0, width):
-            return f"line {number}: bad row {line.rstrip()!r}"
-    return None
-
-
-def _line_of_row(path, header, dtype, index):
-    """The line number of data row ``index`` of a file that _read_rows has read."""
-    data = (number for number, _, row in _lines(path, header, dtype) if row.size)
-    return next(itertools.islice(data, index, None))
+            if row is not None:
+                width = width or row.size  # comments and blank lines are empty
+            if row is None or row.size not in (0, width):
+                raise InputDataError(f"{path}: line {number}: bad row {line.rstrip()!r}")
+            if row.size:
+                yield number, row
 
 
 def write_edges(path, net: Network):
@@ -292,7 +281,8 @@ def read_processes(path) -> np.ndarray:
     wrong = np.flatnonzero(rows[:, 1] != expected)
     if wrong.size:
         pid, iteration, _ = rows[wrong[0]].tolist()
-        line = _line_of_row(path, header, np.int64, int(order[wrong[0]]))
+        line, _ = next(itertools.islice(_loadtxt_lines(path, header, np.int64),
+                                        int(order[wrong[0]]), None))
         raise InputDataError(
             f"{path}: line {line}: process {pid} has iteration {iteration} where "
             f"{expected[wrong[0]]} was expected (each process's iterations run 0, 1, 2, ... "

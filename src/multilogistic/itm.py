@@ -12,12 +12,10 @@ eigenvector of K with the largest eigenvalue, exactly like imaginary-time
 propagation onto a ground state (up to the sign of the operator).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
-from .core import step_count
+from .core import Trajectory, step_count
 from .errors import InputDataError, NumericsError
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "itm_evolve",
     "ground_state",
     "rayleigh",
-    "AmplitudeTrajectory",
 ]
 
 
@@ -105,18 +102,7 @@ def rayleigh(chi, coupling) -> float:
     return float(chi @ k @ chi) / float(chi @ chi)
 
 
-@dataclass(frozen=True)
-class AmplitudeTrajectory:
-    """Unit-norm amplitude samples along the flow."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-
-def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
+def itm_evolve(chi0, coupling, t_end: float, dt: float) -> Trajectory:
     """Fixed-step 4th-order integration, rescaled to unit norm every step.
 
     The flow is the linear flow dchi/dt = K chi/2 projected onto the unit
@@ -148,7 +134,7 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> AmplitudeTrajectory:
         bad = kernels.amplitude_evolve(traj, _checked_coupling(coupling, chi.size), dt)
     if bad >= 0:
         raise NumericsError(f"non-finite amplitudes at step {bad}")
-    return AmplitudeTrajectory(times, traj)
+    return Trajectory(times, traj)
 
 
 def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,

@@ -134,8 +134,10 @@ def _log_multiplier(r0, rm, r1, dt):
 def integrate_constant(traj, rates, total, dt):
     """Fill ``traj[1:]`` by classical RK4 from ``traj[0]``.
 
-    ``rates`` is an (n,) vector for constant rates, or a (steps, 3, n) array
-    holding the rates at the start, middle and end of every step.
+    ``rates`` is an (n,) vector for constant rates, or a (2 steps + 1, n)
+    array of the rates on the half-step grid t = 0, dt/2, dt, ...: step s
+    starts at row 2s, has its middle at row 2s + 1 and ends at row 2s + 2,
+    the row the next step starts at.
 
     The conserved-total equation is the scale-invariant growth dy/dt = r*y
     projected onto the constraint sum(x) = total: x is y rescaled to the
@@ -169,8 +171,8 @@ def integrate_constant(traj, rates, total, dt):
                       axis=0, out=h)
         else:
             for lo in range(0, h.shape[0], _BLOCK_STEPS):
-                h[lo:lo + _BLOCK_STEPS] = _log_multiplier(
-                    *rates[lo:lo + _BLOCK_STEPS].transpose(1, 0, 2), dt)
+                r = rates[2 * lo:2 * (lo + _BLOCK_STEPS) + 1]
+                h[lo:lo + _BLOCK_STEPS] = _log_multiplier(r[:-1:2], r[1::2], r[2::2], dt)
             np.cumsum(h, axis=0, out=h)
     if not np.isfinite(traj[-1]).all():
         return int(np.argmin(np.isfinite(h).all(axis=1)))

@@ -34,7 +34,6 @@ __all__ = [
     "RankDistribution",
     "solve_lambda",
     "analytic_rank",
-    "mean_population",
     "mean_population_from",
     "population_cdf",
     "ks_distance",
@@ -163,10 +162,6 @@ def mean_population_from(lam: float, x0: float) -> float:
     if not lam > 0.0:
         raise InputDataError("the decay constant must be positive")
     return x0 * math.exp(-lam) / (lam * float(exp1(lam)))
-
-
-def mean_population(model: MaxEntModel) -> float:
-    return mean_population_from(model.lam, model.x0)
 
 
 def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:

@@ -51,9 +51,6 @@ class Network:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def edge_array(self) -> np.ndarray:
         """(E, 2) array with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.node_count), self.degrees)
@@ -384,7 +381,8 @@ def kernel_density(params: DiffusionKernelParams, x, t: float):
     The Gaussian y-kernel centered on y0 + drift*t is pushed through the
     transform; the Jacobian contributes the 1/(x (1 - x/total)) prefactor.
     The median therefore advances along the deterministic logistic path.
-    Normalizes to one over (0, total).
+    Normalizes to one over (0, total). Raises InputDataError for a t at
+    which the spread 4 D t rounds to 0 or overflows.
     """
     if not 0.0 < t < np.inf:
         raise InputDataError(f"t must be finite and positive, got {t}")
@@ -393,7 +391,12 @@ def kernel_density(params: DiffusionKernelParams, x, t: float):
     x_arr = np.asarray(x, dtype=float)
     y = y_transform(x_arr, params.total)
     spread = 4.0 * params.diff_coeff * t
-    gauss = np.exp(-((y - params.y0 - params.drift * t) ** 2) / spread)
+    if not 0.0 < spread < math.inf:
+        raise InputDataError(f"t={t!r} is out of range: the spread 4*D*t is {spread!r} "
+                             f"(D={params.diff_coeff!r})")
+    # a squared offset that overflows has the Gaussian's limit, 0
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-((y - params.y0 - params.drift * t) ** 2) / spread)
     dens = gauss / (math.sqrt(math.pi * spread) * x_arr * (1.0 - x_arr / params.total))
     return float(dens) if np.ndim(x) == 0 else dens
 

@@ -94,15 +94,6 @@ class WalkerEnsemble:
             raise InputDataError("need at least two walkers")
         return cls(np.full(n, total / n), total, floor, dt, sigma, drift, seed)
 
-    @classmethod
-    def from_rates(cls, x0, total, floor, rates, seed=0):
-        """Construct from a :class:`~multilogistic.core.StochasticRates` model."""
-        from .core import StochasticRates
-
-        if not isinstance(rates, StochasticRates):
-            raise InputDataError("from_rates expects a StochasticRates model")
-        return cls(x0, total, floor, rates.dt, rates.sigma, rates.mean, seed)
-
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -115,12 +106,6 @@ class WalkerEnsemble:
     @property
     def populations(self) -> np.ndarray:
         return self.x.copy()
-
-    def total_error(self) -> float:
-        return abs(float(self.x.sum()) - self.total)
-
-    def step(self):
-        self.run(1)
 
     def run(self, steps: int):
         """Advance the ensemble by ``steps`` steps."""

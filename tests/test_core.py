@@ -8,8 +8,6 @@ from multilogistic import (
     InputDataError,
     LogisticParams,
     ParametricRates,
-    PopulationState,
-    StochasticRates,
     closed_form,
     integrate,
     mcle_rhs,
@@ -181,16 +179,21 @@ class TestIntegrate:
         with pytest.raises(InputDataError, match=rf"shape \({length},\), expected \(2,\)"):
             integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
 
-    def test_stochastic_rates_rejected(self):
-        with pytest.raises(InputDataError):
-            integrate(np.ones(2), StochasticRates(np.zeros(2), np.ones(2), 0.1),
-                      2.0, 1.0, 0.1)
+    def test_parametric_ragged_rejected(self):
+        # a rates_at whose length changes along the run is an input error, not numpy's
+        pr = ParametricRates(exponents=lambda t: np.zeros(2),
+                             derivative=lambda t: np.zeros(2 if t < 0.5 else 3))
+        with pytest.raises(InputDataError, match=r"shape \(3,\), expected \(2,\)"):
+            integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
 
-    def test_trajectory_state_accessor(self):
-        traj = integrate(np.array([1.0, 1.0]), np.zeros(2), 2.0, 0.1, 0.05)
-        st = traj.state(0)
-        assert isinstance(st, PopulationState)
-        assert st.t == 0.0
+    def test_parametric_rates_once_per_half_step(self):
+        # the end of a step is the start of the next: 2 steps + 1 evaluations
+        times = []
+        pr = ParametricRates(exponents=lambda t: np.array([0.0, 0.3 * t]),
+                             derivative=lambda t: times.append(t) or np.array([0.0, 0.3]))
+        traj = integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
+        assert len(times) == 2 * 100 + 1
+        assert times[::2] == traj.times.tolist()
 
 
 class TestSigmoid:

@@ -591,6 +591,59 @@ class TestBadInput:
         assert not out.exists() or not any(out.iterdir())
 
 
+# every numeric option of every subcommand, each on a tiny base configuration
+SWEEP = {
+    "walkers": (["walkers", "--seed", "1", "--n", "10", "--total", "10000", "--floor", "50",
+                 "--burn-in", "10", "--sample-every", "2", "--samples", "2"],
+                ["--seed", "--n", "--total", "--floor", "--dt", "--sigma", "--drift",
+                 "--burn-in", "--sample-every", "--samples"]),
+    "rankfit": (["rankfit", "--input", "{populations}"], ["--x0", "--drop-top"]),
+    "sfin": (["sfin", "--seed", "1", "--nodes", "60", "--max-degree", "10"],
+             ["--seed", "--nodes", "--max-degree", "--min-degree"]),
+    "diffuse": (["diffuse", *NETWORK_SMALL[:-1], "40"],
+                ["--seed", "--nodes", "--max-degree", "--min-degree", "--processes",
+                 "--density-times"]),
+    "forecast": (["forecast", "--input", "{shares}", "--reference", "explorer",
+                  "--epoch", "2012-03", "--horizon", "3"], ["--horizon", "--n-prime-factor"]),
+    "itm": (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "0.1",
+             "--dt", "0.01"], ["--total", "--t-end", "--dt"]),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("sweep_inputs")
+    files = {"populations": base / "pops.csv", "shares": base / "shares.csv",
+             "matrix": base / "k.csv"}
+    write_population_csv(files["populations"],
+                         analytic_rank(solve_lambda(6e5, 100, 150.0), np.arange(1, 101.0)))
+    write_share_csv(files["shares"])
+    io.write_matrix(files["matrix"], np.diag([0.0, 0.4]))
+    return {k: str(v) for k, v in files.items()}
+
+
+class TestBadValueSweep:
+    @pytest.mark.parametrize("command, option",
+                             [(c, o) for c, (_, options) in SWEEP.items() for o in options])
+    @pytest.mark.filterwarnings("error")
+    def test_no_traceback_and_no_output_on_exit_2(self, tmp_path, capsys, sweep_inputs,
+                                                  command, option):
+        base = [a.format(**sweep_inputs) for a in SWEEP[command][0]]
+        for i, value in enumerate(["0", "-1", "-0.0", "nan", "inf", "-inf",
+                                   "5e-324", "1e-300", "1e300"]):
+            out = tmp_path / str(i)
+            # "--opt=value": argparse would read a bare "-inf" as an option
+            argv = base + [f"{option}={value}", "--out", str(out)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            if code == 2:
+                assert not out.exists() or not any(out.iterdir()), argv
+
+
 class TestNumericalFailure:
     def test_unrealizable_degrees_exit_3(self, tmp_path, capsys):
         argv = ["sfin", "--seed", "0", "--nodes", "2", "--max-degree", "2", "--min-degree", "2"]

@@ -194,7 +194,8 @@ def _reference_integrate(traj, rates, total, dt):
     # kernels.integrate_constant must agree with to fourth order
     steps = traj.shape[0] - 1
     x = traj[0].copy()
-    start, mid, end = np.broadcast_to(rates, (steps, 3, x.shape[0])).transpose(1, 0, 2)
+    r = np.broadcast_to(rates, (2 * steps + 1, x.shape[0]))
+    start, mid, end = r[:-1:2], r[1::2], r[2::2]
 
     def rhs(y, r):
         return y * (r - np.dot(r, y) / total)
@@ -251,10 +252,8 @@ _PARAMETRIC = ParametricRates(
 
 
 def _stage_rates(rates, steps, dt):
-    # the (steps, 3, n) rates core.integrate hands the kernel
-    times = dt * np.arange(steps)
-    return np.array([[rates.rates_at(t), rates.rates_at(t + 0.5 * dt), rates.rates_at(t + dt)]
-                     for t in times.tolist()])
+    # the (2 steps + 1, n) half-step rates core.integrate hands the kernel
+    return np.array([rates.rates_at(t) for t in (0.5 * dt * np.arange(2 * steps + 1)).tolist()])
 
 
 def _random_symmetric(rng, n):

@@ -15,7 +15,7 @@ from multilogistic.maxent import (
     gamma0,
     gamma0_inverse,
     ks_distance,
-    mean_population,
+    mean_population_from,
     population_cdf,
     solve_lambda,
 )
@@ -118,7 +118,7 @@ class TestSolveLambda:
 
     def test_mean_consistency(self):
         model = solve_lambda(5e5, 200, 50.0)
-        assert mean_population(model) == pytest.approx(5e5 / 200, rel=1e-10)
+        assert mean_population_from(model.lam, model.x0) == pytest.approx(5e5 / 200, rel=1e-10)
 
     def test_mu_is_log_normalization(self):
         model = solve_lambda(REF_TOTAL, REF_N, REF_X0)

@@ -304,7 +304,7 @@ class TestGrowCluster:
                 while frontier:
                     nxt = set()
                     for v in frontier:
-                        nxt.update(net.neighbors(v).tolist())
+                        nxt.update(net.indices[net.indptr[v]:net.indptr[v + 1]].tolist())
                     nxt -= reached
                     if not nxt:
                         break
@@ -404,6 +404,19 @@ class TestKernelDensity:
             kernel_density(params, 0.0, 1.0)
         with pytest.raises(InputDataError):
             kernel_density(params, params.total, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_times(self, params):
+        # 4*D*t rounds to 0 for D < 1/8: there is no Gaussian to evaluate
+        narrow = DiffusionKernelParams(params.drift, 0.1, params.y0, params.total)
+        with pytest.raises(InputDataError, match="t=5e-324 is out of range"):
+            kernel_density(narrow, np.array([10.0, 50.0]), 5e-324)
+        # and overflows to inf for D > 1/4 at the largest doubles
+        wide = DiffusionKernelParams(params.drift, 1.0, params.y0, params.total)
+        with pytest.raises(InputDataError, match="t=1e[+]308 is out of range"):
+            kernel_density(wide, np.array([10.0, 50.0]), 1e308)
+        # the squared offset overflows: the Gaussian's limit, 0, and no warning
+        assert kernel_density(params, np.array([10.0, 50.0]), 1e300).tolist() == [0.0, 0.0]
 
 
 def synthetic_walk_processes(n_proc, drift, diff, total, steps, seed):

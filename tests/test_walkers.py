@@ -28,8 +28,8 @@ class TestStep:
     def test_invariants_hold_every_step(self):
         ens = WalkerEnsemble.uniform(100, 6e5, 150.0, 0.03, sigma=1.0, seed=3)
         for _ in range(300):
-            ens.step()
-            assert ens.total_error() <= 1e-9 * ens.total
+            ens.run(1)
+            assert abs(ens.populations.sum() - ens.total) <= 1e-9 * ens.total
             assert ens.populations.min() >= ens.floor
 
     def test_invariants_under_heavy_floor_pressure(self):
@@ -38,8 +38,8 @@ class TestStep:
         ens = WalkerEnsemble.uniform(50, 50 * 150.0 * 1.05, 150.0, 0.5,
                                      sigma=1.0, seed=8)
         for _ in range(400):
-            ens.step()
-            assert ens.total_error() <= 1e-9 * ens.total
+            ens.run(1)
+            assert abs(ens.populations.sum() - ens.total) <= 1e-9 * ens.total
             assert ens.populations.min() >= ens.floor * (1.0 - 1e-12)
 
     def test_same_seed_bit_identical(self):
@@ -88,18 +88,6 @@ class TestConstruction:
     def test_start_below_floor_rejected(self):
         with pytest.raises(InputDataError):
             WalkerEnsemble(np.array([100.0, 1e4]), 1.01e4, 150.0, 0.03, sigma=1.0)
-
-    def test_from_stochastic_rates(self):
-        from multilogistic import StochasticRates
-
-        rates = StochasticRates(np.zeros(10), np.ones(10), 0.03)
-        a = WalkerEnsemble.from_rates(np.full(10, 1e3), 1e4, 50.0, rates, seed=4)
-        b = WalkerEnsemble.uniform(10, 1e4, 50.0, 0.03, sigma=1.0, seed=4)
-        a.run(100)
-        b.run(100)
-        assert np.array_equal(a.x, b.x)
-        with pytest.raises(InputDataError):
-            WalkerEnsemble.from_rates(np.full(10, 1e3), 1e4, 50.0, "const", seed=4)
 
 
 class TestRunToEquilibrium:
