@@ -6,7 +6,13 @@ invocations reproduce them. Every run writes a manifest.json capturing the
 configuration, seed, and library versions next to its outputs. Stochastic
 subcommands require --seed and are byte-reproducible given it.
 
-Exit codes: 0 success, 2 bad input, 3 numerical failure.
+``main`` owns the run: it makes --out, calls the subcommand with it, writes
+the manifest and maps errors to exit codes. Each subcommand computes all of
+its results before it writes its first file.
+
+Exit codes: 0 success, 2 bad input (a path that cannot be read or written
+included), 3 numerical failure. A run that exits 2 or 3 writes no file into
+--out, though it may leave an empty --out directory.
 
 Environment: MULTILOGISTIC_OUT sets the default output directory.
 """
@@ -25,21 +31,8 @@ from .forecast import fit_rates, forecast, growth_exponents
 from .walkers import WalkerEnsemble
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_report(path: Path, metrics: dict):
     io.write_table(path, ["metric", "value"], [list(metrics), list(metrics.values())])
-
-
-def _manifest(out: Path, args, command: str):
-    # the output path carries no provenance (it is where the manifest lives)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command", "out")}
-    io.write_manifest(out / "manifest.json", command, config, config.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +40,7 @@ def _manifest(out: Path, args, command: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_walkers(args) -> int:
-    out = _out_dir(args)
+def cmd_walkers(args, out: Path):
     ens = WalkerEnsemble.uniform(
         args.n, args.total, args.floor, args.dt, args.sigma, args.drift, args.seed
     )
@@ -77,10 +69,8 @@ def cmd_walkers(args) -> int:
         "corr_coeff": stats.corr_coeff,
         "ks_distance": ks,
     })
-    _manifest(out, args, "walkers")
     print(f"walkers: lambda_analytic={model.lam:.6g} ks={ks:.4f} "
           f"corr={stats.corr_coeff:.4g} -> {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +78,7 @@ def cmd_walkers(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rankfit(args) -> int:
-    out = _out_dir(args)
+def cmd_rankfit(args, out: Path):
     pops = io.read_populations(args.input)
     kept, below, top = maxent.filter_populations(pops, args.x0, args.drop_top)
     if kept.size < 10:
@@ -118,10 +107,8 @@ def cmd_rankfit(args) -> int:
         "lambda_fit_stderr": stderr,
         "ks_distance_solved": maxent.ks_distance(kept, model),
     })
-    _manifest(out, args, "rankfit")
     print(f"rankfit: n={n_eff} lambda_analytic={model.lam:.6g} "
           f"lambda_fit={lam_fit:.6g}({stderr:.2g}) -> {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +116,12 @@ def cmd_rankfit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_degree_files(out: Path, net: network.Network):
-    vals, counts = network.degree_histogram(net)
-    io.write_table(out / "degrees.csv", ["degree", "count"], [vals, counts])
-    return network.degree_loglog_slope(net)
-
-
-def cmd_sfin(args) -> int:
-    out = _out_dir(args)
+def cmd_sfin(args, out: Path):
     net = network.generate_sfin(args.nodes, args.max_degree, args.seed, args.min_degree)
-    io.write_edges(out / "edges.csv", net)
-    slope = _write_degree_files(out, net)
+    slope = network.degree_loglog_slope(net)
     comps = network.connected_component_sizes(net)
+    io.write_edges(out / "edges.csv", net)
+    io.write_table(out / "degrees.csv", ["degree", "count"], network.degree_histogram(net))
     _write_report(out / "report.csv", {
         "nodes": net.node_count,
         "edges": net.edge_count,
@@ -150,13 +131,11 @@ def cmd_sfin(args) -> int:
         "n_components": comps.size,
         "largest_component": int(comps[0]),
     })
-    _manifest(out, args, "sfin")
     print(f"sfin: {net.node_count} nodes, {net.edge_count} edges, "
           f"degree slope {slope:.3f} -> {out}")
-    return 0
 
 
-def cmd_diffuse(args) -> int:
+def cmd_diffuse(args, out: Path):
     if args.seed < 0:
         raise InputDataError(f"seed must be non-negative, got {args.seed}")
     if args.processes < 1:
@@ -164,7 +143,6 @@ def cmd_diffuse(args) -> int:
     for t in args.density_times:
         if not 0.0 < t < np.inf:
             raise InputDataError(f"density_times must be finite and positive, got {t}")
-    out = _out_dir(args)
     if args.edges:
         net = io.read_edges(args.edges)
     else:
@@ -185,10 +163,10 @@ def cmd_diffuse(args) -> int:
     stats = network.growth_statistics(sizes, total)
     times = args.density_times
     x_grid = np.geomspace(1.0, total - 1.0, 400)
-    # before the first file is written: a density time can still be rejected
     density = np.concatenate([network.kernel_density(params, x_grid, t) for t in times])
-    slope = _write_degree_files(out, net)
+    slope = network.degree_loglog_slope(net)
 
+    io.write_table(out / "degrees.csv", ["degree", "count"], network.degree_histogram(net))
     io.write_processes(out / "processes.csv", sizes)
     io.write_table(out / "median.csv",
                    ["iteration", "count", "median_size", "median_y", "variance_y"],
@@ -206,10 +184,8 @@ def cmd_diffuse(args) -> int:
     })
     io.write_table(out / "density.csv", ["t", "x", "density"],
                    [np.repeat(times, x_grid.size), np.tile(x_grid, len(times)), density])
-    _manifest(out, args, "diffuse")
     print(f"diffuse: drift={params.drift:.4g} D={params.diff_coeff:.4g} "
           f"sigma={params.sigma:.4g} slope={slope:.3f} -> {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +193,9 @@ def cmd_diffuse(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args, out: Path):
     if args.horizon < 0:
         raise InputDataError(f"--horizon must be 0 or more months, got {args.horizon}")
-    out = _out_dir(args)
     series = io.read_share_csv(args.input, args.epoch, renormalize=args.renormalize)
     if args.reference not in series.components:
         raise InputDataError(
@@ -240,10 +215,8 @@ def cmd_forecast(args) -> int:
                    [series.components, (np.arange(len(series.components)) == ref).astype(int),
                     fit.a, fit.stderr[:, 0], fit.b, fit.stderr[:, 1], fit.c, fit.stderr[:, 2],
                     [args.form] * len(series.components)])
-    _manifest(out, args, "forecast")
     print(f"forecast: {len(series.components)} components, "
           f"{args.horizon} months ahead -> {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +224,7 @@ def cmd_forecast(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_itm(args) -> int:
-    out = _out_dir(args)
+def cmd_itm(args, out: Path):
     coupling = io.read_matrix(args.matrix)
     coupling = itm.validate_coupling(coupling)
     try:
@@ -287,10 +259,8 @@ def cmd_itm(args) -> int:
         "rayleigh_initial": float(rayleighs[0]),
         "rayleigh_final": float(rayleighs[-1]),
     })
-    _manifest(out, args, "itm")
     check = "PASS" if equivalence_pass else ("n/a" if not diagonal else "FAIL")
     print(f"itm: diagonal={diagonal} equivalence={check} -> {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=100_000)
     p.add_argument("--sample-every", type=int, default=500)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_walkers)
 
     p = sub.add_parser("rankfit", help="fit the rank-size law to a population CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--x0", type=float, default=150.0)
     p.add_argument("--drop-top", type=int, default=4)
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_rankfit)
 
     p = sub.add_parser("sfin", help="generate a scale-free network (p(c) ~ 1/c)")
@@ -332,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=20000)
     p.add_argument("--max-degree", type=int, default=100)
     p.add_argument("--min-degree", type=int, default=1)
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_sfin)
 
     p = sub.add_parser("diffuse", help="cluster-growth ensemble and kernel fit")
@@ -344,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", default=None, help="load this edge CSV instead of generating")
     p.add_argument("--density-times", type=lambda s: [float(v) for v in s.split(",")],
                    default=[1.0, 3.0, 6.0])
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("forecast", help="fit growth exponents and extrapolate shares")
@@ -357,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-prime-factor", type=float, default=1.0)
     p.add_argument("--renormalize", action="store_true",
                    help="rescale rows to sum to the total before fitting")
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("itm", help="evolve the amplitude flow for a rate matrix")
@@ -367,23 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=5.0,
                    help="end time; must be a whole number of --dt steps")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_itm)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=default_out)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputDataError as exc:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        # the output path carries no provenance (it is where the manifest lives)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+        io.write_manifest(out / "manifest.json", args.command, config, config.get("seed"))
+    except (InputDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

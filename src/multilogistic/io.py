@@ -16,6 +16,7 @@ Manifests carry the full configuration, the seed, and the library versions
 of a run; they contain no timestamps on purpose.
 """
 
+import contextlib
 import csv
 import itertools
 import json
@@ -44,7 +45,6 @@ __all__ = [
     "write_share_series",
     "read_matrix",
     "write_matrix",
-    "month_offset",
     "month_shift",
 ]
 
@@ -101,16 +101,22 @@ def read_table(path):
     return rows[0], rows[1:]
 
 
+@contextlib.contextmanager
+def _decoding(path):
+    """Text of ``path`` that does not decode becomes an InputDataError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+
+
 def _numbered_rows(path):
     """(line number, row) of every csv row of ``path``, the header included.
 
     A row's number is the file line it starts on: a quoted cell may span
     lines, so rows and lines need not match one to one.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = []
         start = 1
@@ -199,11 +205,8 @@ def write_snapshot(path, populations):
 
 def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
     """The rows under ``header`` (None: a file without one) as an (N, W) array, N >= 1."""
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"no such file: {path}")
     if header:
-        with path.open(newline="") as fh:
+        with _decoding(path), open(path, newline="") as fh:
             if [h.strip().lower() for h in next(csv.reader(fh), [])] != header:
                 raise InputDataError(f"{path}: expected header '{','.join(header)}'")
     with warnings.catch_warnings():
@@ -212,9 +215,10 @@ def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
         try:
             rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1 if header else 0,
                               ndmin=2)
-        except ValueError as exc:
-            for _ in _loadtxt_lines(path, header, dtype):  # raises at the first bad line
-                pass
+        except ValueError as exc:  # a UnicodeDecodeError included
+            with _decoding(path):
+                for _ in _loadtxt_lines(path, header, dtype):  # raises at the first bad line
+                    pass
             raise InputDataError(f"{path}: {exc}") from exc
     if rows.size == 0 or header and rows.shape[1] != len(header):
         width = f"{len(header)} " if header else ""
@@ -307,11 +311,6 @@ def _month_index(text: str) -> int:
     if not 1 <= month <= 12:
         raise ValueError(text)
     return year * 12 + month - 1
-
-
-def month_offset(date: str, epoch: str) -> int:
-    """Whole months from ``epoch`` to ``date`` (both 'YYYY-MM')."""
-    return _month_index(date) - _month_index(epoch)
 
 
 def month_shift(epoch: str, months: int) -> str:

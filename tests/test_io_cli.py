@@ -118,9 +118,6 @@ class TestWriterMatchesCsvModule:
 
 class TestIoRoundTrips:
     def test_month_arithmetic(self):
-        assert io.month_offset("2012-03", "2012-03") == 0
-        assert io.month_offset("2013-01", "2012-03") == 10
-        assert io.month_offset("2011-12", "2012-03") == -3
         assert io.month_shift("2012-03", -3) == "2011-12"
         assert io.month_shift("2012-03", 10) == "2013-01"
 
@@ -549,6 +546,21 @@ class TestBadInput:
          "--epoch"),
         (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
           "--horizon", "-1"], "--horizon"),
+        # paths that cannot be read or written
+        (["sfin", *NETWORK_SMALL[:-2], "--out", "{shares}"], "File exists"),
+        (["rankfit", "--input", "{directory}"], "Is a directory"),
+        (["forecast", "--input", "{directory}", "--reference", "explorer", "--epoch", "2012-03"],
+         "Is a directory"),
+        (["itm", "--matrix", "{directory}", "--initial", "50,50"], "Is a directory"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{directory}"], "Is a directory"),
+        (["itm", "--matrix", "{missing}", "--initial", "50,50"], "missing.csv"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{missing}"], "missing.csv"),
+        # bytes that are not UTF-8 text
+        (["rankfit", "--input", "{binary}"], "binary.csv: not utf-8 text"),
+        (["forecast", "--input", "{binary}", "--reference", "explorer", "--epoch", "2012-03"],
+         "binary.csv: not utf-8 text"),
+        (["itm", "--matrix", "{binary}", "--initial", "50,50"], "binary.csv: not utf-8 text"),
+        (["diffuse", *NETWORK_SMALL, "--edges", "{binary}"], "binary.csv: not utf-8 text"),
     ], ids=["walkers-seed", "walkers-sigma", "walkers-drift", "walkers-dt", "walkers-n",
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-dt-tiny", "itm-dt-subnormal",
@@ -556,7 +568,11 @@ class TestBadInput:
             "itm-matrix-non-numeric", "rankfit-drop-top",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
-            "forecast-epoch-text", "forecast-horizon-negative"])
+            "forecast-epoch-text", "forecast-horizon-negative", "out-existing-file",
+            "rankfit-input-directory", "forecast-input-directory", "itm-matrix-directory",
+            "diffuse-edges-directory", "itm-matrix-missing", "diffuse-edges-missing",
+            "rankfit-input-not-utf8", "forecast-input-not-utf8", "itm-matrix-not-utf8",
+            "diffuse-edges-not-utf8"])
     @pytest.mark.filterwarnings("error")
     def test_exits_2_with_message(self, tmp_path, capsys, argv, word):
         matrix = tmp_path / "k.csv"
@@ -578,17 +594,25 @@ class TestBadInput:
         quoted.write_text('u,v\n0,1\n"1",2\n')
         shares = tmp_path / "s2.csv"
         write_share_csv(shares)
+        shares_bytes = shares.read_bytes()
+        # 0x80, in the first line, cannot start a UTF-8 character
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\x7fELF" + bytes(range(256)))
         argv = [a.format(matrix=matrix, matrix_empty=matrix_empty,
                          matrix_non_numeric=matrix_non_numeric, populations=populations,
                          header_only=header_only, non_integer=non_integer,
-                         underscore=underscore, quoted=quoted, shares=shares)
+                         underscore=underscore, quoted=quoted, shares=shares,
+                         directory=tmp_path, missing=tmp_path / "missing.csv", binary=binary)
                 for a in argv]
         out = tmp_path / "out"
-        assert main(argv + ["--out", str(out)]) == 2
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err
         # rejected before any work: nothing written
         assert not out.exists() or not any(out.iterdir())
+        assert shares.read_bytes() == shares_bytes
 
 
 # every numeric option of every subcommand, each on a tiny base configuration
@@ -640,21 +664,33 @@ class TestBadValueSweep:
                 code = exc.code
             capsys.readouterr()
             assert code in (0, 2, 3), argv
-            if code == 2:
+            if code in (2, 3):
                 assert not out.exists() or not any(out.iterdir()), argv
 
 
 class TestNumericalFailure:
-    def test_unrealizable_degrees_exit_3(self, tmp_path, capsys):
-        argv = ["sfin", "--seed", "0", "--nodes", "2", "--max-degree", "2", "--min-degree", "2"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ") and "not graphical" in err
+    @pytest.mark.parametrize("argv, word", [
+        (["sfin", "--seed", "0", "--nodes", "2", "--max-degree", "2", "--min-degree", "2"],
+         "not graphical"),
+        # the graph builds, but its degrees give no slope estimate
+        (["sfin", "--seed", "1", "--nodes", "60", "--max-degree", "4"], "degree bins"),
+        (["diffuse", "--seed", "1", "--nodes", "300", "--max-degree", "4", "--processes", "40"],
+         "degree bins"),
+    ], ids=["sfin-not-graphical", "sfin-no-degree-slope", "diffuse-no-degree-slope"])
+    def test_degree_failures_exit_3(self, tmp_path, capsys, argv, word):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        # diffuse warns about the graph's components first
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("numerical failure: ") and word in err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_walker_step_exit_3(self, tmp_path, capsys):
         argv = ["walkers", "--seed", "1", "--n", "20", "--total", "60000", "--sigma", "1e4",
                 "--burn-in", "5", "--sample-every", "1", "--samples", "2"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
+        assert not out.exists() or not any(out.iterdir())
