@@ -17,7 +17,6 @@ importing the package or building the CLI parser loads numpy and no scipy.
 __version__ = "0.1.0"
 
 from .core import (
-    ConstantRates,
     LogisticParams,
     ParametricRates,
     Trajectory,

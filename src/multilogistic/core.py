@@ -27,7 +27,6 @@ from .errors import InputDataError, NumericsError
 
 __all__ = [
     "LogisticParams",
-    "ConstantRates",
     "ParametricRates",
     "Trajectory",
     "mcle_rhs",
@@ -52,18 +51,6 @@ class LogisticParams:
             raise InputDataError("capacity must be positive")
         if not 0.0 < self.x0 < self.capacity:
             raise InputDataError("initial value must lie strictly inside (0, capacity)")
-
-
-@dataclass(frozen=True)
-class ConstantRates:
-    """Time-independent per-component growth rates."""
-
-    rates: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
-        if self.rates.ndim != 1:
-            raise InputDataError("rates must be a 1-d vector")
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,8 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     """Classical 4th-order fixed-step integration of the rate equation.
 
     Steps from the initial state to ``t_end`` in increments of ``dt``;
-    ``t_end`` must be a whole number of steps (``step_count``). Accepts
-    ``ConstantRates``, a bare rate vector, or ``ParametricRates``.
+    ``t_end`` must be a whole number of steps (``step_count``). ``rates``
+    is a constant rate vector of shape (n,) or a ``ParametricRates``.
 
     RK4 is applied to the scale-invariant linear flow dy/dt = k(t)*y, and
     each step's state is projected back onto sum(x) = total
@@ -211,7 +198,7 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
                                  f"{x_init.shape} (one rate per population)")
         k = np.array(k)
     else:
-        k = rates.rates if isinstance(rates, ConstantRates) else np.asarray(rates, float)
+        k = np.asarray(rates, float)
         if k.shape != x_init.shape:
             raise InputDataError("rates length does not match initial populations")
     bad = kernels.integrate_constant(traj, k, total, dt)

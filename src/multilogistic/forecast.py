@@ -100,14 +100,9 @@ class RateFit:
     c: np.ndarray
     stderr: np.ndarray
     ref_index: int
-    form: str
 
     def exponents_at(self, times) -> np.ndarray:
-        t = np.asarray(times, dtype=float)[:, None]
-        if self.form == "exponential":
-            h = self.a * np.exp(-self.b * t) * t + self.c
-        else:
-            h = self.a * t + self.c
+        h = _exp_form(np.asarray(times, dtype=float)[:, None], self.a, self.b, self.c)
         h[:, self.ref_index] = 0.0
         return h
 
@@ -116,16 +111,13 @@ def _exp_form(t, a, b, c):
     return a * np.exp(-b * t) * t + c
 
 
-def _lin_form(t, a, c):
-    return a * t + c
-
-
 def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential") -> RateFit:
     """Least-squares fit of each non-reference exponent table.
 
     Initialization: the slope over the last three samples for a, zero for b
     and c. Parameters are reported with standard errors from the scaled
-    covariance of the fit.
+    covariance of the fit. The ``"linear"`` form is the same model with b
+    held at 0, so its b and b stderr are 0 and its curves are a*t + c.
     """
     from scipy.optimize import curve_fit
 
@@ -141,33 +133,27 @@ def fit_rates(times, exponents, ref_index: int = 0, form: str = "exponential") -
     if t.size < 5:
         raise InputDataError("need at least 5 samples per component")
 
-    a = np.zeros(n)
-    b = np.zeros(n)
-    c = np.zeros(n)
+    # which of (a, b, c) are fitted: a linear fit is the same model with b held at 0
+    free = [0, 1, 2] if form == "exponential" else [0, 2]
+    model = _exp_form if form == "exponential" else lambda t, a, c: _exp_form(t, a, 0.0, c)
+    abc = np.zeros((3, n))
     err = np.zeros((n, 3))
     for i in range(n):
         if i == ref_index:
             continue
         a0 = float(np.polyfit(t[-3:], h[-3:, i], 1)[0])
         try:
-            if form == "exponential":
-                popt, pcov = curve_fit(
-                    _exp_form, t, h[:, i], p0=(a0, 0.0, 0.0), maxfev=20000
-                )
-                a[i], b[i], c[i] = popt
-                err[i] = np.sqrt(np.clip(np.diag(pcov), 0.0, np.inf))
-            else:
-                popt, pcov = curve_fit(_lin_form, t, h[:, i], p0=(a0, 0.0), maxfev=20000)
-                a[i], c[i] = popt
-                se = np.sqrt(np.clip(np.diag(pcov), 0.0, np.inf))
-                err[i, 0], err[i, 2] = se
+            popt, pcov = curve_fit(model, t, h[:, i], p0=np.array([a0, 0.0, 0.0])[free],
+                                   maxfev=20000)
+            abc[free, i] = popt
+            err[i, free] = np.sqrt(np.clip(np.diag(pcov), 0.0, np.inf))
         except RuntimeError as exc:
             res = h[:, i] - _exp_form(t, a0, 0.0, 0.0)
             raise NumericsError(
                 f"rate fit for component {i} did not converge "
                 f"(best starting residual {float(np.sum(res ** 2)):.3e}): {exc}"
             ) from exc
-    return RateFit(a, b, c, err, ref_index, form)
+    return RateFit(*abc, err, ref_index)
 
 
 def forecast(series: ShareSeries, fit: RateFit, horizon_times,

@@ -51,6 +51,8 @@ __all__ = [
 # rows per %-format, and per tolist() of a numeric column: the Python objects of
 # one block at a time, not of the whole table, are held
 _BLOCK_ROWS = 512
+# inputs are UTF-8 text; a leading byte-order mark, as spreadsheets export it, is dropped
+_ENCODING = "utf-8-sig"
 
 
 def _text(value, alone):
@@ -116,7 +118,7 @@ def _numbered_rows(path):
     A row's number is the file line it starts on: a quoted cell may span
     lines, so rows and lines need not match one to one.
     """
-    with _decoding(path), open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="", encoding=_ENCODING) as fh:
         reader = csv.reader(fh)
         rows = []
         start = 1
@@ -206,7 +208,7 @@ def write_snapshot(path, populations):
 def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
     """The rows under ``header`` (None: a file without one) as an (N, W) array, N >= 1."""
     if header:
-        with _decoding(path), open(path, newline="") as fh:
+        with _decoding(path), open(path, newline="", encoding=_ENCODING) as fh:
             if [h.strip().lower() for h in next(csv.reader(fh), [])] != header:
                 raise InputDataError(f"{path}: expected header '{','.join(header)}'")
     with warnings.catch_warnings():
@@ -214,7 +216,7 @@ def _read_rows(path, header, dtype=np.int64) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         try:
             rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1 if header else 0,
-                              ndmin=2)
+                              ndmin=2, encoding=_ENCODING)
         except ValueError as exc:  # a UnicodeDecodeError included
             with _decoding(path):
                 for _ in _loadtxt_lines(path, header, dtype):  # raises at the first bad line
@@ -235,7 +237,7 @@ def _loadtxt_lines(path, header, dtype):
     header's (without a header, from the first data row's).
     """
     width = len(header) if header else None
-    with Path(path).open() as fh:
+    with Path(path).open(encoding=_ENCODING) as fh:
         for number, line in enumerate(fh, start=1):
             if number == 1 and header:
                 continue

@@ -49,8 +49,8 @@ def from_amplitude(chi, total: float) -> np.ndarray:
     return total * chi**2
 
 
-def validate_coupling(coupling) -> np.ndarray:
-    """Check that the rate matrix is square and symmetric; return it as float."""
+def validate_coupling(coupling, n: int | None = None) -> np.ndarray:
+    """The rate matrix as float, checked to be square, symmetric and (given ``n``) n x n."""
     k = np.asarray(coupling, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise InputDataError("coupling must be a square matrix")
@@ -62,6 +62,8 @@ def validate_coupling(coupling) -> np.ndarray:
         raise InputDataError(
             f"coupling must be symmetric (max asymmetry {asym:.3e}, norm {norm:.3e})"
         )
+    if n is not None and k.shape[0] != n:
+        raise InputDataError("dimension mismatch between amplitudes and coupling")
     return k
 
 
@@ -77,17 +79,10 @@ def _as_unit_amplitude(chi) -> np.ndarray:
     return chi / norm
 
 
-def _checked_coupling(coupling, n: int) -> np.ndarray:
-    k = validate_coupling(coupling)
-    if k.shape[0] != n:
-        raise InputDataError("dimension mismatch between amplitudes and coupling")
-    return k
-
-
 def itm_rhs(chi, coupling) -> np.ndarray:
     """Right-hand side of the norm-preserving flow; orthogonal to unit chi."""
     chi = np.asarray(chi, dtype=float)
-    return _rhs(chi, _checked_coupling(coupling, chi.shape[0]))
+    return _rhs(chi, validate_coupling(coupling, chi.shape[0]))
 
 
 def _rhs(chi, k):
@@ -107,31 +102,17 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> Trajectory:
 
     The flow is the linear flow dchi/dt = K chi/2 projected onto the unit
     sphere, the amplitude form of scale-invariant growth under the
-    conserved total. Each step is RK4 of the linear flow, one fixed matrix
-    applied to chi, followed by the projection
-    (``kernels.amplitude_evolve``). ``t_end`` must be a whole number of
-    steps (``core.step_count``).
-
-    ``coupling`` is either a symmetric matrix or a callable chi -> matrix
-    (a self-consistent rate functional), evaluated once per step and held
-    fixed across the step's internal stages.
+    conserved total. Each step is RK4 of the linear flow, one fixed
+    symmetric matrix ``coupling`` applied to chi, followed by the
+    projection (``kernels.amplitude_evolve``). ``t_end`` must be a whole
+    number of steps (``core.step_count``).
     """
     chi = _as_unit_amplitude(chi0)
     n_steps = step_count(t_end, dt, chi.size)
     times = dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, chi.size))
     traj[0] = chi
-
-    if callable(coupling):
-        # one kernel step per evaluation of the rate functional
-        bad = -1
-        for s in range(n_steps):
-            k = _checked_coupling(coupling(traj[s]), chi.size)
-            if kernels.amplitude_evolve(traj[s:s + 2], k, dt) >= 0:
-                bad = s
-                break
-    else:
-        bad = kernels.amplitude_evolve(traj, _checked_coupling(coupling, chi.size), dt)
+    bad = kernels.amplitude_evolve(traj, validate_coupling(coupling, chi.size), dt)
     if bad >= 0:
         raise NumericsError(f"non-finite amplitudes at step {bad}")
     return Trajectory(times, traj)
@@ -141,17 +122,16 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
                  max_steps: int = 1_000_000):
     """Run the flow until ||rhs|| < tol; returns (chi, rayleigh quotient, steps).
 
-    Converges to the dominant eigenvector of the coupling matrix reachable
-    from the start (components of the start along it must be non-zero).
-    A callable coupling is evaluated once per step, as in ``itm_evolve``.
+    Converges to the dominant eigenvector of the symmetric coupling matrix
+    reachable from the start (components of the start along it must be
+    non-zero).
     """
     chi = _as_unit_amplitude(chi0)
-    fixed = None if callable(coupling) else _checked_coupling(coupling, chi.size)
+    k = validate_coupling(coupling, chi.size)
     steps_done = 0
     while steps_done < max_steps:
-        k = fixed if fixed is not None else _checked_coupling(coupling(chi), chi.size)
         if float(np.linalg.norm(_rhs(chi, k))) < tol:
             return chi, rayleigh(chi, k), steps_done
-        chi = itm_evolve(chi, coupling, 100 * dt, dt).states[-1]
+        chi = itm_evolve(chi, k, 100 * dt, dt).states[-1]
         steps_done += 100
     raise NumericsError(f"no steady state within {max_steps} steps")

@@ -132,8 +132,8 @@ class MaxEntModel:
     """Equilibrium rank-size model fixed by its decay constant, floor and size.
 
     ``lam`` is the decay constant per floor unit x0 (divide by x0 for a
-    per-person value). The total follows from the mean-value constraint and
-    ``mu`` is the log of the normalization constant Gamma(0, lam).
+    per-person value). The total follows from the mean-value constraint,
+    ``n * mean_population_from(lam, x0)``.
     """
 
     lam: float
@@ -143,16 +143,6 @@ class MaxEntModel:
     def __post_init__(self):
         if not (self.lam > 0.0 and self.x0 > 0.0 and self.n >= 1):
             raise InputDataError("MaxEntModel requires lam > 0, x0 > 0, n >= 1")
-
-    @property
-    def total(self) -> float:
-        return self.n * mean_population_from(self.lam, self.x0)
-
-    @property
-    def mu(self) -> float:
-        from scipy.special import exp1
-
-        return math.log(float(exp1(self.lam)))
 
 
 def mean_population_from(lam: float, x0: float) -> float:

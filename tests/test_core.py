@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from multilogistic import (
-    ConstantRates,
     InputDataError,
     LogisticParams,
     ParametricRates,
@@ -136,7 +135,7 @@ class TestIntegrate:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(8)
         x0, rates, total = random_system(rng, 6)
-        traj = integrate(x0, ConstantRates(rates), total, 5.0, 1e-3)
+        traj = integrate(x0, rates, total, 5.0, 1e-3)
         exact = closed_form(x0, rates, total, traj.times)
         rel = np.abs(traj.states - exact) / np.abs(exact)
         assert rel.max() < 1e-6
@@ -159,7 +158,7 @@ class TestIntegrate:
         rates = np.array([0.3, -0.2, 0.1])
         pr = ParametricRates(exponents=lambda t: rates * t)
         a = integrate(x0, pr, 100.0, 2.0, 1e-2)
-        b = integrate(x0, ConstantRates(rates), 100.0, 2.0, 1e-2)
+        b = integrate(x0, rates, 100.0, 2.0, 1e-2)
         np.testing.assert_allclose(a.states, b.states, rtol=1e-6)
 
     def test_parametric_with_analytic_derivative(self):

@@ -85,6 +85,9 @@ class TestFitRates:
         fl = fit_rates(times, h, 0, form="linear")
         assert fe.a[1] == pytest.approx(fl.a[1], rel=1e-6)
         assert fe.c[1] == pytest.approx(fl.c[1], abs=1e-6)
+        # a linear fit is the damped model with b held at 0, exactly a*t + c
+        assert fl.b[1] == 0.0
+        assert np.array_equal(fl.exponents_at(times)[:, 1], fl.a[1] * times + fl.c[1])
 
     def test_noise_coverage_three_stderr(self):
         times = np.arange(-48.0, 1.0)
@@ -158,7 +161,7 @@ class TestForecast:
         series = constant_rate_series(rates=(0.0, 0.1, 0.5))
         fit = RateFit(
             a=np.array([0.0, 0.0, 5.0]), b=np.zeros(3), c=np.zeros(3),
-            stderr=np.zeros((3, 3)), ref_index=0, form="exponential",
+            stderr=np.zeros((3, 3)), ref_index=0,
         )
         out = forecast(series, fit, np.array([100.0]))
         assert np.all(np.isfinite(out.shares))

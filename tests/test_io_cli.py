@@ -18,6 +18,10 @@ from multilogistic.errors import InputDataError
 from multilogistic.maxent import analytic_rank, solve_lambda
 
 
+# the UTF-8 byte-order mark that spreadsheets write at the start of a "CSV UTF-8" export
+BOM = b"\xef\xbb\xbf"
+
+
 def read_report(path):
     header, rows = io.read_table(path)
     assert header == ["metric", "value"]
@@ -148,6 +152,13 @@ class TestIoRoundTrips:
             p = tmp_path / f"pops_{i}.csv"
             write_population_csv(p, pops, place)
             np.testing.assert_array_equal(io.read_populations(p), pops)
+        # a byte-order mark before 'population' as the first column, the only column, and no header
+        p = tmp_path / "pops_bom.csv"
+        for header, columns in ((["population", "place_name"], [pops, ["a", "b", "c", "d"]]),
+                                (["population"], [pops]), (None, [pops])):
+            io.write_table(p, header, columns)
+            p.write_bytes(BOM + p.read_bytes())
+            np.testing.assert_array_equal(io.read_populations(p), pops)
 
     def test_malformed_population_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -178,8 +189,10 @@ class TestIoRoundTrips:
         net = generate_sfin(300, 20, seed=1)
         p = tmp_path / "edges.csv"
         io.write_edges(p, net)
-        back = io.read_edges(p)
-        assert np.array_equal(back.edge_array(), net.edge_array())
+        for prefix in (b"", BOM):
+            p.write_bytes(prefix + p.read_bytes())
+            back = io.read_edges(p)
+            assert np.array_equal(back.edge_array(), net.edge_array())
 
     def test_processes_round_trip(self, tmp_path):
         # processes [1, 4, 9] and [1, 2]; the shorter row repeats its final size
@@ -203,10 +216,12 @@ class TestIoRoundTrips:
             io.read_processes(p)
 
     def test_share_series_round_trip(self, tmp_path):
-        for i, components in enumerate([("explorer", "firefox", "chrome"),
-                                        ("explorer", "fire,fox", "chrome")]):
+        for i, (components, prefix) in enumerate([(("explorer", "firefox", "chrome"), b""),
+                                                  (("explorer", "fire,fox", "chrome"), b""),
+                                                  (("explorer", "firefox", "chrome"), BOM)]):
             p = tmp_path / f"shares_{i}.csv"
             write_share_csv(p, components=components)
+            p.write_bytes(prefix + p.read_bytes())
             series = io.read_share_csv(p, "2012-03")
             assert series.components == components
             assert series.times[-1] == 0.0
@@ -221,6 +236,8 @@ class TestIoRoundTrips:
         for m in (np.array([[0.0, 0.25, 1e16], [-0.0, 5e-324, -1.5]]), np.array([[2.5, 1e-05]])):
             io.write_matrix(p, m)
             assert p.read_bytes() == csv_module_bytes(None, m.T)
+            np.testing.assert_array_equal(io.read_matrix(p), m)
+            p.write_bytes(BOM + p.read_bytes())
             np.testing.assert_array_equal(io.read_matrix(p), m)
 
 

@@ -142,17 +142,6 @@ class TestEvolve:
         q = np.einsum("ti,ij,tj->t", traj.states, k, traj.states)
         assert np.all(np.diff(q) >= -1e-12 * (1.0 + np.abs(q[:-1])))
 
-    def test_callable_coupling(self):
-        # self-consistent rate functional, evaluated once per step
-        def coupling(chi):
-            return np.diag([0.0, 1.0 + 0.1 * chi[0] ** 2])
-
-        chi0 = to_amplitude(np.array([60.0, 40.0]), 100.0)
-        traj = itm_evolve(chi0, coupling, 2.0, 1e-2)
-        assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() <= 1e-10
-        # the second level always dominates, so it wins eventually
-        assert traj.states[-1][1] > traj.states[0][1]
-
 
 class TestGroundState:
     def test_matches_eigensolve(self):
@@ -164,24 +153,6 @@ class TestGroundState:
         chi, q, steps = ground_state(chi0, k, dt=1e-2, tol=1e-10)
         assert q == pytest.approx(w[-1], abs=1e-9)
         assert abs(float(chi @ v[:, -1])) == pytest.approx(1.0, abs=1e-8)
-
-    def test_callable_coupling(self):
-        # self-consistent rate functional: the steady state is an eigenvector
-        # of the matrix it produces
-        rng = np.random.default_rng(4)
-        base = random_symmetric(rng, 4)
-
-        def coupling(chi):
-            return base + np.diag(0.5 * chi**2)
-
-        chi0 = np.full(4, 0.5)
-        chi, q, steps = ground_state(chi0, coupling, dt=1e-2, tol=1e-10)
-        k = coupling(chi)
-        assert np.linalg.norm(itm_rhs(chi, k)) < 1e-10
-        w, v = np.linalg.eigh(k)
-        assert q == pytest.approx(w[-1], abs=1e-9)
-        assert abs(float(chi @ v[:, -1])) == pytest.approx(1.0, abs=1e-8)
-        assert steps > 0
 
 
 class TestValidation:

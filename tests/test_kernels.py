@@ -9,7 +9,6 @@ from multilogistic import (
     ParametricRates,
     closed_form,
     integrate,
-    itm_evolve,
     kernels,
     share_composition,
 )
@@ -298,21 +297,6 @@ class TestRk4Agreement:
         chi0 /= np.linalg.norm(chi0)
         self._assert_unit_rows_agree(
             *self._agree(kernels.amplitude_evolve, _reference_amplitude, chi0, 3000, k))
-
-    def test_callable_coupling(self):
-        rng = np.random.default_rng(3)
-        base = _random_symmetric(rng, 4)
-
-        def coupling(chi):
-            return base + np.diag(0.5 * chi**2)
-
-        chi0 = np.full(4, 0.5)
-        got = itm_evolve(chi0, coupling, 2.0, self.dt).states
-        want = np.empty_like(got)
-        want[0] = chi0
-        for s in range(want.shape[0] - 1):  # itm_evolve's loop over the reference
-            assert _reference_amplitude(want[s:s + 2], coupling(want[s]), self.dt) == -1
-        self._assert_unit_rows_agree(got, want)
 
 
 def _max_rel_error(traj, exact):

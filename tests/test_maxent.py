@@ -120,10 +120,6 @@ class TestSolveLambda:
         model = solve_lambda(5e5, 200, 50.0)
         assert mean_population_from(model.lam, model.x0) == pytest.approx(5e5 / 200, rel=1e-10)
 
-    def test_mu_is_log_normalization(self):
-        model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
-        assert model.mu == pytest.approx(math.log(gamma0(model.lam)), rel=1e-12)
-
     def test_mean_near_floor_diverges(self):
         with pytest.raises((NumericsError, InputDataError)):
             solve_lambda(1000.0 * 150.0 * (1.0 + 1e-9), 1000, 150.0)
@@ -174,7 +170,8 @@ class TestAnalyticRank:
             lambda r: analytic_rank(model, r), 0.0, model.n, limit=400,
             points=[1e-6, 0.01, 1.0],
         )
-        assert val == pytest.approx(model.total, rel=1e-4)
+        assert val == pytest.approx(model.n * mean_population_from(model.lam, model.x0),
+                                    rel=1e-4)
 
 
 class TestCdfAndKs:
