@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .core import (
     LogisticParams,
-    ParametricRates,
     Trajectory,
     closed_form,
     integrate,

@@ -18,7 +18,6 @@ projection after every step.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import InputDataError, NumericsError
 
 __all__ = [
     "LogisticParams",
-    "ParametricRates",
     "Trajectory",
     "mcle_rhs",
     "closed_form",
@@ -54,27 +52,6 @@ class LogisticParams:
 
 
 @dataclass(frozen=True)
-class ParametricRates:
-    """Rates given through cumulative exponents h_i(t) (so h_i(t) = k_i*t when constant).
-
-    ``exponents(t)`` returns the n-vector h(t). The instantaneous rates the
-    integrator needs are dh/dt, supplied analytically via ``derivative`` or
-    estimated by central differences.
-    """
-
-    exponents: Callable[[float], np.ndarray]
-    derivative: Callable[[float], np.ndarray] | None = None
-
-    def rates_at(self, t: float) -> np.ndarray:
-        if self.derivative is not None:
-            return np.asarray(self.derivative(t), dtype=float)
-        eps = 1e-6 * max(1.0, abs(t))
-        hi = np.asarray(self.exponents(t + eps), dtype=float)
-        lo = np.asarray(self.exponents(t - eps), dtype=float)
-        return (hi - lo) / (2.0 * eps)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Fixed-step samples: times[j] paired with states[j] (populations or amplitudes)."""
 
@@ -91,6 +68,15 @@ def _as_population_vector(x) -> np.ndarray:
     return x
 
 
+def _as_rate_vector(rates, n: int) -> np.ndarray:
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != (n,):
+        raise InputDataError(f"rates of shape {rates.shape} do not match {n} populations")
+    if not np.all(np.isfinite(rates)):
+        raise InputDataError("rates must be finite")
+    return rates
+
+
 def mcle_rhs(x, rates, total: float) -> np.ndarray:
     """Time derivative of every component for the given populations and rates.
 
@@ -98,11 +84,7 @@ def mcle_rhs(x, rates, total: float) -> np.ndarray:
     populations sum to ``total``, so the constraint is preserved by the flow.
     """
     x = _as_population_vector(x)
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != x.shape:
-        raise InputDataError(
-            f"rates length {rates.shape} does not match state length {x.shape}"
-        )
+    rates = _as_rate_vector(rates, x.shape[0])
     if not total > 0.0:
         raise InputDataError("total must be positive")
     return x * (rates - np.dot(rates, x) / total)
@@ -133,9 +115,7 @@ def closed_form(x0, rates, total: float, t) -> np.ndarray:
     times. Rows sum to ``total`` exactly up to rounding.
     """
     x0 = _as_population_vector(x0)
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != x0.shape:
-        raise InputDataError("rates length does not match initial populations")
+    rates = _as_rate_vector(rates, x0.shape[0])
     if not np.isclose(x0.sum(), total, rtol=1e-6):
         raise InputDataError("initial populations must sum to the declared total")
     t_arr = np.asarray(t, dtype=float)
@@ -171,36 +151,29 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
 
     Steps from the initial state to ``t_end`` in increments of ``dt``;
     ``t_end`` must be a whole number of steps (``step_count``). ``rates``
-    is a constant rate vector of shape (n,) or a ``ParametricRates``.
+    is a constant rate vector of shape (n,), and the initial populations
+    must sum to ``total`` (within 1e-6 relative), as for ``closed_form``.
+    Rates given through cumulative exponents h(t) need no integrator: their
+    exact solution is ``share_composition(x0, h(t), total)``.
 
-    RK4 is applied to the scale-invariant linear flow dy/dt = k(t)*y, and
+    RK4 is applied to the scale-invariant linear flow dy/dt = k*y, and
     each step's state is projected back onto sum(x) = total
     (``kernels.integrate_constant``): the same two ingredients as the
-    closed form, so every trajectory row sums to ``total`` exactly up to
-    rounding, and a uniform shift of the rates leaves the trajectory
+    closed form, so every row after the first sums to ``total`` exactly up
+    to rounding, and a uniform shift of the rates leaves the trajectory
     unchanged up to rounding.
     """
     x_init = _as_population_vector(x0)
+    k = _as_rate_vector(rates, x_init.shape[0])
     if not total > 0.0:
         raise InputDataError("total must be positive")
+    if not np.isclose(x_init.sum(), total, rtol=1e-6):
+        raise InputDataError("initial populations must sum to the declared total")
 
     n_steps = step_count(t_end, dt, x_init.shape[0])
     times = dt * np.arange(n_steps + 1)
     traj = np.empty((n_steps + 1, x_init.shape[0]))
     traj[0] = x_init
-
-    if isinstance(rates, ParametricRates):
-        # rates on the half-step grid: step s reads rows 2s, 2s + 1 and 2s + 2
-        k = [rates.rates_at(t) for t in (0.5 * dt * np.arange(2 * n_steps + 1)).tolist()]
-        shape = next((r.shape for r in k if r.shape != x_init.shape), None)
-        if shape is not None:
-            raise InputDataError(f"rates_at returned shape {shape}, expected "
-                                 f"{x_init.shape} (one rate per population)")
-        k = np.array(k)
-    else:
-        k = np.asarray(rates, float)
-        if k.shape != x_init.shape:
-            raise InputDataError("rates length does not match initial populations")
     bad = kernels.integrate_constant(traj, k, total, dt)
     if bad >= 0:
         raise NumericsError(f"non-finite state encountered at step {bad}")

@@ -114,66 +114,48 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
 # Fixed-step 4th-order integration of the conserved-total growth equation
 # ---------------------------------------------------------------------------
 
-# steps of per-step rates turned into multipliers at a time
-_BLOCK_STEPS = 1024
+def _log_multiplier(r, dt):
+    """log g of the RK4 step y -> g*y of dy/dt = r*y, per component.
 
-
-def _log_multiplier(r0, rm, r1, dt):
-    """log g of the RK4 step y -> g*y of dy/dt = r(t)*y, per component.
-
-    ``r0``, ``rm`` and ``r1`` are the rates at the start, middle and end of
-    the step, (n,) or one row per step. Each is centred on its mean first.
+    ``r`` is centred on its mean first.
     """
-    r0, rm, r1 = (r - r.mean(axis=-1, keepdims=True) for r in (r0, rm, r1))
-    a2 = rm * (1.0 + 0.5 * dt * r0)
-    a3 = rm * (1.0 + 0.5 * dt * a2)
-    a4 = r1 * (1.0 + dt * a3)
-    return np.log1p(dt / 6.0 * (r0 + 2.0 * (a2 + a3) + a4))
+    r = r - r.mean()
+    a2 = r * (1.0 + 0.5 * dt * r)
+    a3 = r * (1.0 + 0.5 * dt * a2)
+    a4 = r * (1.0 + dt * a3)
+    return np.log1p(dt / 6.0 * (r + 2.0 * (a2 + a3) + a4))
 
 
 def integrate_constant(traj, rates, total, dt):
-    """Fill ``traj[1:]`` by classical RK4 from ``traj[0]``.
-
-    ``rates`` is an (n,) vector for constant rates, or a (2 steps + 1, n)
-    array of the rates on the half-step grid t = 0, dt/2, dt, ...: step s
-    starts at row 2s, has its middle at row 2s + 1 and ends at row 2s + 2,
-    the row the next step starts at.
+    """Fill ``traj[1:]`` by classical RK4 from ``traj[0]`` at the (n,) ``rates``.
 
     The conserved-total equation is the scale-invariant growth dy/dt = r*y
     projected onto the constraint sum(x) = total: x is y rescaled to the
     total, whatever the rescale was at earlier times. So RK4 is applied to
     the linear flow and the state is projected after every step. For
-    dy/dt = r(t)*y one RK4 step multiplies each component by
+    dy/dt = r*y one RK4 step multiplies each component by
 
-        a1 = r0, a2 = rm(1 + dt a1/2), a3 = rm(1 + dt a2/2), a4 = r1(1 + dt a3)
+        a1 = r, a2 = r(1 + dt a1/2), a3 = r(1 + dt a2/2), a4 = r(1 + dt a3)
         g  = 1 + dt/6 (a1 + 2 a2 + 2 a3 + a4),
 
-    the degree-4 Taylor polynomial of exp(dt r) for constant rates. Each
-    stage's rates are centred on their mean (a uniform shift leaves the
-    projected flow unchanged), which keeps g near 1. Row s of ``traj`` is
-    then ``traj[0]`` reweighted by the product of the multipliers of the
-    steps before it and rescaled to ``total``: a ``cumsum`` of log g, the
-    largest entry of each row subtracted before ``exp``. Constant rates
-    broadcast one (n,) multiplier over the steps; per-step rates are turned
-    into multipliers a block of steps at a time. Apart from that block, the
+    the degree-4 Taylor polynomial of exp(dt r). The rates are centred on
+    their mean (a uniform shift leaves the projected flow unchanged), which
+    keeps g near 1. Row s of ``traj`` is then ``traj[0]`` reweighted by
+    g**s and rescaled to ``total``: a ``cumsum`` of log g broadcast over
+    the steps, the largest entry of each row subtracted before ``exp``. The
     kernel allocates only per-row scalars besides ``traj``.
 
     Returns -1 on success, else the first step whose multiplier is not
-    finite and positive. For real constant rates it always is: an
-    even-degree Taylor polynomial of exp has no real root.
+    finite and positive. An even-degree Taylor polynomial of exp has no
+    real root, so with finite rates that happens only when the stage terms
+    overflow, at step 0: for dt from 1 to 1e-3, centred rates of about 1e78
+    to 1e80 and above.
     """
     h = traj[1:]
     # a non-finite or non-positive multiplier makes log g, and every
     # cumulative sum from its step on, non-finite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if rates.ndim == 1:
-            np.cumsum(np.broadcast_to(_log_multiplier(rates, rates, rates, dt), h.shape),
-                      axis=0, out=h)
-        else:
-            for lo in range(0, h.shape[0], _BLOCK_STEPS):
-                r = rates[2 * lo:2 * (lo + _BLOCK_STEPS) + 1]
-                h[lo:lo + _BLOCK_STEPS] = _log_multiplier(r[:-1:2], r[1::2], r[2::2], dt)
-            np.cumsum(h, axis=0, out=h)
+        np.cumsum(np.broadcast_to(_log_multiplier(rates, dt), h.shape), axis=0, out=h)
     if not np.isfinite(traj[-1]).all():
         return int(np.argmin(np.isfinite(h).all(axis=1)))
     h -= h.max(axis=1, keepdims=True)

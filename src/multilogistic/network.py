@@ -52,10 +52,15 @@ class Network:
         return self.indices.size // 2
 
     def edge_array(self) -> np.ndarray:
-        """(E, 2) array with u < v, sorted lexicographically."""
-        src = np.repeat(np.arange(self.node_count), self.degrees)
+        """(E, 2) int64 array with u < v, sorted lexicographically."""
+        # rows in the index dtype, columns filled one at a time: no int64 array
+        # over all 2E entries and no stacked copy
+        src = np.repeat(np.arange(self.node_count, dtype=self.indices.dtype), self.degrees)
         mask = src < self.indices
-        return np.column_stack([src[mask], self.indices[mask]])
+        edges = np.empty((np.count_nonzero(mask), 2), dtype=np.int64)
+        edges[:, 0] = src[mask]
+        edges[:, 1] = self.indices[mask]
+        return edges
 
     @classmethod
     def from_edges(cls, node_count: int, edges, c_max: int = 0) -> "Network":

@@ -6,11 +6,9 @@ import pytest
 from multilogistic import (
     InputDataError,
     LogisticParams,
-    ParametricRates,
     closed_form,
     integrate,
     mcle_rhs,
-    share_composition,
     sigmoid,
 )
 
@@ -153,46 +151,22 @@ class TestIntegrate:
         traj = integrate(x0, rates, total, 3.0, 1e-2)
         assert np.abs(traj.states.sum(axis=1) - total).max() <= 1e-12 * total
 
-    def test_parametric_linear_exponent_matches_constant(self):
-        x0 = np.array([40.0, 35.0, 25.0])
-        rates = np.array([0.3, -0.2, 0.1])
-        pr = ParametricRates(exponents=lambda t: rates * t)
-        a = integrate(x0, pr, 100.0, 2.0, 1e-2)
-        b = integrate(x0, rates, 100.0, 2.0, 1e-2)
-        np.testing.assert_allclose(a.states, b.states, rtol=1e-6)
-
-    def test_parametric_with_analytic_derivative(self):
-        x0 = np.array([60.0, 40.0])
-        pr = ParametricRates(
-            exponents=lambda t: np.array([0.0, 0.5 * t**2]),
-            derivative=lambda t: np.array([0.0, t]),
-        )
-        traj = integrate(x0, pr, 100.0, 1.0, 1e-3)
-        # cumulative exponent h(1) = (0, 1/2) plugged into the exact solution
-        exact = share_composition(x0, np.array([[0.0, 0.5]]), 100.0)[0]
-        np.testing.assert_allclose(traj.states[-1], exact, rtol=1e-8)
-
-    @pytest.mark.parametrize("length", [1, 3])
-    def test_parametric_wrong_length_rejected(self, length):
-        pr = ParametricRates(exponents=lambda t: np.full(length, t))
-        with pytest.raises(InputDataError, match=rf"shape \({length},\), expected \(2,\)"):
-            integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
-
-    def test_parametric_ragged_rejected(self):
-        # a rates_at whose length changes along the run is an input error, not numpy's
-        pr = ParametricRates(exponents=lambda t: np.zeros(2),
-                             derivative=lambda t: np.zeros(2 if t < 0.5 else 3))
-        with pytest.raises(InputDataError, match=r"shape \(3,\), expected \(2,\)"):
-            integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
-
-    def test_parametric_rates_once_per_half_step(self):
-        # the end of a step is the start of the next: 2 steps + 1 evaluations
-        times = []
-        pr = ParametricRates(exponents=lambda t: np.array([0.0, 0.3 * t]),
-                             derivative=lambda t: times.append(t) or np.array([0.0, 0.3]))
-        traj = integrate(np.array([60.0, 40.0]), pr, 100.0, 1.0, 1e-2)
-        assert len(times) == 2 * 100 + 1
-        assert times[::2] == traj.times.tolist()
+    @pytest.mark.parametrize("solver, x0, rates, match", [
+        pytest.param(solver, [50.0, 30.0, 20.0], rates, match, id=f"{solver}-{bad}")
+        for solver in ("integrate", "closed_form", "mcle_rhs")
+        for bad, rates, match in [
+            ("length", [0.0, 1.0], r"rates of shape \(2,\) do not match 3 populations"),
+            ("nan", [np.nan, 1.0, 2.0], "rates must be finite"),
+            ("inf", [1.0, np.inf, 2.0], "rates must be finite"),
+        ]
+    ] + [pytest.param("integrate", [50.0, 30.0, 10.0], [0.0, 1.0, 2.0],
+                      "initial populations must sum to the declared total", id="integrate-sum")])
+    def test_bad_input_rejected(self, solver, x0, rates, match):
+        call = {"integrate": lambda: integrate(x0, rates, 100.0, 0.02, 1e-2),
+                "closed_form": lambda: closed_form(x0, rates, 100.0, [0.0, 1.0]),
+                "mcle_rhs": lambda: mcle_rhs(x0, rates, 100.0)}[solver]
+        with pytest.raises(InputDataError, match=match):
+            call()
 
 
 class TestSigmoid:

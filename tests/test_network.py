@@ -275,7 +275,9 @@ class TestGenerateSfin:
         # the COO indices are built in int32, the dtype that scipy keeps: about
         # 5 MB at peak (11 MB with 6 MB of int64 indices for scipy to copy down)
         net = generate_sfin(20000, 100, 31)
-        edges = net.edge_array()
+        # edge_array: about 5.4 MB (8.4 MB with an int64 row array and a stacked copy)
+        edges, peak = _traced_peak(net.edge_array)
+        assert peak < 6 * 2**20
         back, peak = _traced_peak(lambda: Network.from_edges(net.node_count, edges))
         assert peak < 8 * 2**20
         assert back.indices.dtype == np.int32
