@@ -164,10 +164,11 @@ def forecast(series: ShareSeries, fit: RateFit, horizon_times,
     values are reported raw (not rescaled back), so sums over components
     equal the scaled total. At t = 0 the output matches the observations up
     to the fit residual (the intercept c folds into an effective initial
-    value).
+    value). The scaled total must be a finite, positive, normal number.
     """
-    if not n_prime_factor > 0.0:
-        raise InputDataError("n_prime_factor must be positive")
+    total = n_prime_factor * series.total
+    if not np.finfo(float).tiny <= total < np.inf:
+        raise InputDataError(f"n_prime_factor must give a finite positive normal total, got {total!r}")
     t_out = np.asarray(horizon_times, dtype=float)
     if t_out.ndim != 1 or t_out.size == 0:
         raise InputDataError("horizon must be a non-empty vector of times")
@@ -175,6 +176,5 @@ def forecast(series: ShareSeries, fit: RateFit, horizon_times,
     h = fit.exponents_at(t_out)
     if not np.all(np.isfinite(h)):
         raise NumericsError("fitted exponents are not finite on the horizon")
-    total = n_prime_factor * series.total
     states = share_composition(x0, h, total)
     return ShareSeries(series.components, t_out, states, total=total)

@@ -102,10 +102,11 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> Trajectory:
 
     The flow is the linear flow dchi/dt = K chi/2 projected onto the unit
     sphere, the amplitude form of scale-invariant growth under the
-    conserved total. Each step is RK4 of the linear flow, one fixed
-    symmetric matrix ``coupling`` applied to chi, followed by the
-    projection (``kernels.amplitude_evolve``). ``t_end`` must be a whole
-    number of steps (``core.step_count``).
+    conserved total. Each step is RK4 of the linear flow followed by the
+    projection (``kernels.amplitude_evolve``): the kernel diagonalises
+    ``coupling`` once, and in its eigenbasis the step is the one of
+    ``core.integrate``. ``t_end`` must be a whole number of steps
+    (``core.step_count``).
     """
     chi = _as_unit_amplitude(chi0)
     n_steps = step_count(t_end, dt, chi.size)

@@ -8,14 +8,15 @@ sum(x) = total. Both the conserved-total equation and the amplitude flow are
 a linear flow projected onto a constraint (the total; the unit sphere), so
 each kernel takes classical RK4 of the linear flow, which on a linear flow is
 one multiplier per step (the degree-4 Taylor polynomial of exp(dt A)), and
-projects back onto the constraint after every step.
+projects back onto the constraint after every step. In the eigenbasis of
+the amplitude flow's matrix the linear flow is component-wise growth too, so
+both kernels take one step rule (``_log_multiplier``) and the exponents
+(s+1)*log g of step s from one helper (``_step_exponents``).
 
 The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
 as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
 ``perfbench/`` times every kernel inside the CLI jobs that use it.
 """
-
-import math
 
 import numpy as np
 
@@ -111,19 +112,28 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step 4th-order integration of the conserved-total growth equation
+# Fixed-step RK4 of the two projected linear flows
 # ---------------------------------------------------------------------------
 
 def _log_multiplier(r, dt):
-    """log g of the RK4 step y -> g*y of dy/dt = r*y, per component.
-
-    ``r`` is centred on its mean first.
-    """
+    """log g of the RK4 step y -> g*y of dy/dt = r*y, per component, ``r`` centred first."""
     r = r - r.mean()
     a2 = r * (1.0 + 0.5 * dt * r)
     a3 = r * (1.0 + 0.5 * dt * a2)
     a4 = r * (1.0 + dt * a3)
     return np.log1p(dt / 6.0 * (r + 2.0 * (a2 + a3) + a4))
+
+
+def _step_exponents(h, r, dt):
+    """Fill row s of ``h`` with (s+1)*log g at the rates ``r``; False if it is not finite.
+
+    log g is the same at every step, so every step fails or none does. The
+    product rounds once per entry; a running sum would round at every step.
+    """
+    # stage terms that overflow make log g inf or nan, and so every row
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.arange(1.0, h.shape[0] + 1.0)[:, None], _log_multiplier(r, dt), out=h)
+    return bool(np.isfinite(h[:1]).all())
 
 
 def integrate_constant(traj, rates, total, dt):
@@ -140,28 +150,52 @@ def integrate_constant(traj, rates, total, dt):
 
     the degree-4 Taylor polynomial of exp(dt r). The rates are centred on
     their mean (a uniform shift leaves the projected flow unchanged), which
-    keeps g near 1. Row s of ``traj`` is then ``traj[0]`` reweighted by
-    g**s and rescaled to ``total``: a ``cumsum`` of log g broadcast over
-    the steps, the largest entry of each row subtracted before ``exp``. The
-    kernel allocates only per-row scalars besides ``traj``.
+    keeps g near 1. Row s of ``traj[1:]`` is ``traj[0]`` reweighted by
+    exp((s+1) log g), the largest exponent of the row subtracted first, and
+    rescaled to ``total``. Only per-row scalars are allocated besides ``traj``.
 
-    Returns -1 on success, else the first step whose multiplier is not
-    finite and positive. An even-degree Taylor polynomial of exp has no
-    real root, so with finite rates that happens only when the stage terms
-    overflow, at step 0: for dt from 1 to 1e-3, centred rates of about 1e78
-    to 1e80 and above.
+    Returns -1 on success, else 0 (every step fails). An even-degree Taylor
+    polynomial of exp has no real root, so with finite rates that happens
+    only when the stage terms overflow: for dt from 1 to 1e-3, centred rates
+    of about 1e78 to 1e80 and above.
     """
     h = traj[1:]
-    # a non-finite or non-positive multiplier makes log g, and every
-    # cumulative sum from its step on, non-finite
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.cumsum(np.broadcast_to(_log_multiplier(rates, dt), h.shape), axis=0, out=h)
-    if not np.isfinite(traj[-1]).all():
-        return int(np.argmin(np.isfinite(h).all(axis=1)))
+    if not _step_exponents(h, rates, dt):
+        return 0
     h -= h.max(axis=1, keepdims=True)
     np.exp(h, out=h)
     h *= traj[0]
     h *= total / h.sum(axis=1, keepdims=True)
+    return -1
+
+
+def amplitude_evolve(traj, coupling, dt):
+    """Fill ``traj[1:]`` from ``traj[0]`` under dc/dt = (K c - <c,Kc>/<c,c> c)/2.
+
+    The flow is the linear flow dc/dt = K c/2 projected onto the unit
+    sphere. With K = Q diag(lam) Q^T the linear flow is dw/dt = (lam/2) w
+    for w = Q^T c, so one RK4 step multiplies w by the g of
+    ``integrate_constant`` at the rates lam/2. Row s of ``traj[1:]`` is Q
+    times sign(w0) exp((s+1) log g + log|w0|), the largest exponent of the
+    row subtracted first, scaled to unit norm. A start with no weight along
+    an eigenvector keeps none. K is diagonalised once, as the symmetric part
+    K + (K^T - K)/2: that is K bit for bit when K is symmetric, and it
+    averages both triangles when ``validate_coupling`` let a rounding-level
+    asymmetry through (``eigh`` reads one triangle).
+
+    Returns -1 on success, else 0 (every step fails).
+    """
+    h = traj[1:]
+    lam, q = np.linalg.eigh(coupling + 0.5 * (coupling.T - coupling))
+    if not _step_exponents(h, 0.5 * lam, dt):
+        return 0
+    w0 = q.T @ traj[0]
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+        h += np.log(np.abs(w0))
+    h -= h.max(axis=1, keepdims=True)
+    w = np.exp(h) * np.sign(w0)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    np.matmul(w, q.T, out=h)
     return -1
 
 
@@ -204,46 +238,3 @@ def bfs_layer_sizes(indptr, indices, seed):
     while sizes[-1] < order.size:
         sizes.append(1 + int(np.searchsorted(parent_position, sizes[-1])))
     return np.array(sizes, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Norm-preserving amplitude flow (fixed-step RK4 + renormalization)
-# ---------------------------------------------------------------------------
-
-
-def amplitude_evolve(traj, coupling, dt):
-    """Fill ``traj[1:]`` from ``traj[0]`` under dc/dt = (K c - <c,Kc>/<c,c> c)/2.
-
-    The flow is the linear flow dc/dt = K c/2 projected onto the unit
-    sphere, so RK4 is applied to the linear flow and the state is
-    renormalised after every step. RK4 on a linear flow is one matrix, the
-    degree-4 Taylor polynomial of exp(a) with a = (dt/2)(K - tr K/n I),
-
-        M = I + a(I + a/2(I + a/3(I + a/4))),
-
-    built once; each step is ``c = M @ c`` and a rescale to unit norm.
-    Removing the mean diagonal shifts K uniformly, which leaves the
-    projected flow unchanged and keeps M near I. M is kept as E = M - I and
-    applied as ``c + E @ c``: a rounding of M itself would repeat in every
-    step, while one of E is smaller by the size of E.
-
-    Returns -1 on success, else the first step index whose squared norm is
-    not finite and positive.
-    """
-    n = coupling.shape[0]
-    eye = np.eye(n)
-    a = (0.5 * dt) * (coupling - np.trace(coupling) / n * eye)
-    e = a / 4.0
-    for j in (3.0, 2.0, 1.0):
-        e = (a / j) @ (eye + e)
-    c = traj[0]
-    for s in range(traj.shape[0] - 1):
-        nxt = traj[s + 1]
-        e.dot(c, out=nxt)
-        nxt += c
-        acc = float(nxt.dot(nxt))
-        if not (acc > 0.0 and math.isfinite(acc)):
-            return s
-        nxt /= math.sqrt(acc)
-        c = nxt
-    return -1

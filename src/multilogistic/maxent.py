@@ -327,6 +327,8 @@ def filter_populations(populations, x0: float, drop_top: int = 0):
     """
     if drop_top < 0:
         raise InputDataError(f"drop_top must be non-negative, got {drop_top}")
+    if not 0.0 < x0 < math.inf:
+        raise InputDataError(f"x0 must be positive and finite, got {x0!r}")
     xs = np.sort(np.asarray(populations, dtype=float))[::-1]
     cut = x0 * (1.0 - 1e-9)
     below = int(np.sum(xs < cut))

@@ -551,6 +551,8 @@ class TestBadInput:
         (["itm", "--matrix", "{matrix_non_numeric}", "--initial", "50,50"],
          "matrix_non_numeric.csv: line 2"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
+        (["rankfit", "--input", "{populations}", "--x0", "nan"], "x0"),
+        (["rankfit", "--input", "{populations}", "--x0", "inf"], "x0"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{header_only}"], "header_only.csv"),
         (["diffuse", *NETWORK_SMALL, "--edges", "{non_integer}"], "non_integer.csv: line 3"),
         # int() reads these two cells, np.loadtxt does not
@@ -563,6 +565,9 @@ class TestBadInput:
          "--epoch"),
         (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
           "--horizon", "-1"], "--horizon"),
+        # the shares are valid: the scaled total overflows or is subnormal
+        *[(["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
+            "--n-prime-factor", factor], "n_prime_factor") for factor in ("inf", "1e307", "5e-324")],
         # paths that cannot be read or written
         (["sfin", *NETWORK_SMALL[:-2], "--out", "{shares}"], "File exists"),
         (["rankfit", "--input", "{directory}"], "Is a directory"),
@@ -582,10 +587,11 @@ class TestBadInput:
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-dt-tiny", "itm-dt-subnormal",
             "itm-t-end-huge", "itm-t-end-partial-step", "itm-dt-huge", "itm-matrix-empty",
-            "itm-matrix-non-numeric", "rankfit-drop-top",
+            "itm-matrix-non-numeric", "rankfit-drop-top", "rankfit-x0-nan", "rankfit-x0-inf",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
-            "forecast-epoch-text", "forecast-horizon-negative", "out-existing-file",
+            "forecast-epoch-text", "forecast-horizon-negative", "forecast-n-prime-factor-inf",
+            "forecast-n-prime-factor-huge", "forecast-n-prime-factor-subnormal", "out-existing-file",
             "rankfit-input-directory", "forecast-input-directory", "itm-matrix-directory",
             "diffuse-edges-directory", "itm-matrix-missing", "diffuse-edges-missing",
             "rankfit-input-not-utf8", "forecast-input-not-utf8", "itm-matrix-not-utf8",

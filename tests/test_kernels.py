@@ -300,6 +300,31 @@ class TestRk4Accuracy:
             assert _reference_integrate(traj, rates, 100.0, 1e-2) == 0
         assert kernels.integrate_constant(traj, rates, 100.0, 1e-2) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coupling_fails_at_step_0(self):
+        chi0 = np.array([0.6, 0.0, 0.8])
+        traj = np.empty((101, 3))
+        traj[0] = chi0
+        assert kernels.amplitude_evolve(traj, np.diag([1e200, 0.0, -1e200]), 1e-2) == 0
+
+    def test_no_steps_leave_the_start(self):
+        x0, rates, total = _system(7, n=3)
+        chi0 = x0 / np.linalg.norm(x0)
+        for kernel, start, args in ((kernels.integrate_constant, x0, (rates, total)),
+                                    (kernels.amplitude_evolve, chi0, (np.diag(rates),))):
+            traj = start[None, :].copy()
+            assert kernel(traj, *args, 1e-2) == -1
+            assert np.array_equal(traj, start[None, :])
+
+    def test_start_without_dominant_weight_keeps_none(self):
+        # the flow cannot reach an eigenvector the start has no weight along
+        traj = np.empty((5001, 3))
+        traj[0] = [0.0, 0.8, 0.6]
+        assert kernels.amplitude_evolve(traj, np.diag([2.0, 0.1, -0.3]), 1e-2) == -1
+        assert np.all(traj[:, 0] == 0.0)
+        assert np.isfinite(traj).all()
+        assert np.abs(np.linalg.norm(traj, axis=1) - 1.0).max() <= 1e-12
+
     def test_uniform_rate_shift(self):
         x0, rates, total = _system(5)
         a = integrate(x0, rates, total, 5.0, 1e-3).states
