@@ -86,7 +86,7 @@ def cmd_rankfit(args, out: Path):
     n_eff = int(kept.size)
     total_eff = float(kept.sum())
     model = maxent.solve_lambda(total_eff, n_eff, args.x0)
-    data = maxent.RankDistribution.from_sample(kept)
+    data = maxent.RankDistribution(kept)
     lam_fit, stderr = maxent.fit_lambda(data, args.x0)
     fitted_model = maxent.MaxEntModel(lam_fit, args.x0, n_eff)
 

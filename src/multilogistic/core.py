@@ -32,7 +32,6 @@ __all__ = [
     "share_composition",
     "integrate",
     "sigmoid",
-    "step_count",
 ]
 
 
@@ -123,18 +122,21 @@ def closed_form(x0, rates, total: float, t) -> np.ndarray:
     return share_composition(x0, h, total)
 
 
-def step_count(t_end: float, dt: float, width: int) -> int:
-    """Number of ``dt`` steps from 0 to ``t_end``, checked before anything is allocated.
+def _trajectory(kernel, start, t_end: float, dt: float, *operands) -> Trajectory:
+    """Run an RK4 kernel from ``start`` to ``t_end`` in ``dt`` steps.
 
-    ``width`` is the length of a trajectory row. Raises ``InputDataError``
+    The step grid is checked before anything is allocated: ``InputDataError``
     unless ``dt`` is finite and positive, ``t_end`` finite and non-negative,
     ``t_end`` a whole number of steps (within 1e-9 relative), and the
-    (steps + 1, width) float trajectory smaller than numpy can index.
+    (steps + 1, len(start)) float trajectory smaller than numpy can index.
+    The kernel fills the trajectory as ``kernel(traj, *operands, dt)``; a
+    step it reports as failed raises ``NumericsError``.
     """
     if not 0.0 < dt < math.inf:
         raise InputDataError(f"dt must be finite and positive, got {dt}")
     if not 0.0 <= t_end < math.inf:
         raise InputDataError(f"t_end must be finite and non-negative, got {t_end}")
+    width = start.shape[0]
     count = t_end / dt
     if not (count + 1.0) * width * 8.0 < np.iinfo(np.intp).max:
         raise InputDataError(f"t_end={t_end!r} over dt={dt!r} is {count:.6g} steps, "
@@ -143,25 +145,33 @@ def step_count(t_end: float, dt: float, width: int) -> int:
     if abs(count - steps) > 1e-9 * count:
         raise InputDataError(f"t_end={t_end!r} is not a whole number of steps of "
                              f"dt={dt!r} ({count:.6g} steps)")
-    return steps
+    traj = np.empty((steps + 1, width))
+    traj[0] = start
+    bad = kernel(traj, *operands, dt)
+    if bad >= 0:
+        raise NumericsError("RK4 stage terms overflow (lower the rates or dt): "
+                             f"non-finite state at step {bad}")
+    return Trajectory(dt * np.arange(steps + 1), traj)
 
 
 def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
     """Classical 4th-order fixed-step integration of the rate equation.
 
     Steps from the initial state to ``t_end`` in increments of ``dt``;
-    ``t_end`` must be a whole number of steps (``step_count``). ``rates``
-    is a constant rate vector of shape (n,), and the initial populations
-    must sum to ``total`` (within 1e-6 relative), as for ``closed_form``.
-    Rates given through cumulative exponents h(t) need no integrator: their
-    exact solution is ``share_composition(x0, h(t), total)``.
+    ``t_end`` must be a whole number of steps, and the trajectory must fit
+    in memory (checked before it is allocated). ``rates`` is a constant rate
+    vector of shape (n,), and the initial populations must sum to ``total``
+    (within 1e-6 relative), as for ``closed_form``. Rates given through
+    cumulative exponents h(t) need no integrator: their exact solution is
+    ``share_composition(x0, h(t), total)``.
 
     RK4 is applied to the scale-invariant linear flow dy/dt = k*y, and
     each step's state is projected back onto sum(x) = total
     (``kernels.integrate_constant``): the same two ingredients as the
     closed form, so every row after the first sums to ``total`` exactly up
     to rounding, and a uniform shift of the rates leaves the trajectory
-    unchanged up to rounding.
+    unchanged up to rounding. Rates whose RK4 stage terms overflow raise
+    ``NumericsError`` at step 0.
     """
     x_init = _as_population_vector(x0)
     k = _as_rate_vector(rates, x_init.shape[0])
@@ -169,15 +179,7 @@ def integrate(x0, rates, total: float, t_end: float, dt: float) -> Trajectory:
         raise InputDataError("total must be positive")
     if not np.isclose(x_init.sum(), total, rtol=1e-6):
         raise InputDataError("initial populations must sum to the declared total")
-
-    n_steps = step_count(t_end, dt, x_init.shape[0])
-    times = dt * np.arange(n_steps + 1)
-    traj = np.empty((n_steps + 1, x_init.shape[0]))
-    traj[0] = x_init
-    bad = kernels.integrate_constant(traj, k, total, dt)
-    if bad >= 0:
-        raise NumericsError(f"non-finite state encountered at step {bad}")
-    return Trajectory(times, traj)
+    return _trajectory(kernels.integrate_constant, x_init, t_end, dt, k, total)
 
 
 def sigmoid(params: LogisticParams, t) -> np.ndarray | float:

@@ -349,14 +349,14 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
             shares.append([float(row[j]) for j in comp_cols])
         except (ValueError, IndexError) as exc:
             raise InputDataError(f"{path}: line {line}: bad row {row!r}") from exc
+        if not all(0.0 < v < math.inf for v in shares[-1]):
+            raise InputDataError(f"{path}: line {line}: shares must be positive and finite, "
+                                 f"got {row!r}")
     if not times:
         raise InputDataError(f"{path}: no data rows")
     order = np.argsort(times)
     times = np.asarray(times, dtype=float)[order]
     shares = np.asarray(shares, dtype=float)[order]
-    if np.any(shares <= 0.0):
-        j = int(np.argwhere(shares <= 0.0)[0][0])
-        raise InputDataError(f"{path}: non-positive share in row at t={times[j]:g}")
     if renormalize:
         shares = shares * (_SHARE_TOTAL / shares.sum(axis=1, keepdims=True))
     return ShareSeries(components, times, shares, total=_SHARE_TOTAL)

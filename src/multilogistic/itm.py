@@ -15,7 +15,7 @@ propagation onto a ground state (up to the sign of the operator).
 import numpy as np
 
 from . import kernels
-from .core import Trajectory, step_count
+from .core import Trajectory, _trajectory
 from .errors import InputDataError, NumericsError
 
 __all__ = [
@@ -56,12 +56,15 @@ def validate_coupling(coupling, n: int | None = None) -> np.ndarray:
         raise InputDataError("coupling must be a square matrix")
     if not np.all(np.isfinite(k)):
         raise InputDataError("coupling must be finite")
-    norm = np.linalg.norm(k)
-    asym = np.abs(k - k.T).max()
-    if asym > 1e-12 * max(norm, 1e-300):
-        raise InputDataError(
-            f"coupling must be symmetric (max asymmetry {asym:.3e}, norm {norm:.3e})"
-        )
+    # compared in units of a power of two near max|K|, exact and finite even
+    # at the largest doubles, where the norm itself would overflow
+    unit = float(np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1))
+    scaled = k / unit
+    norm = float(np.linalg.norm(scaled))
+    asym = float(np.abs(scaled - scaled.T).max())
+    if asym > 1e-12 * norm:
+        raise InputDataError(f"coupling must be symmetric (max asymmetry {asym * unit:.3e}, "
+                             f"norm {norm * unit:.3e})")
     if n is not None and k.shape[0] != n:
         raise InputDataError("dimension mismatch between amplitudes and coupling")
     return k
@@ -105,18 +108,13 @@ def itm_evolve(chi0, coupling, t_end: float, dt: float) -> Trajectory:
     conserved total. Each step is RK4 of the linear flow followed by the
     projection (``kernels.amplitude_evolve``): the kernel diagonalises
     ``coupling`` once, and in its eigenbasis the step is the one of
-    ``core.integrate``. ``t_end`` must be a whole number of steps
-    (``core.step_count``).
+    ``core.integrate``, on the same step grid and with the same checks:
+    ``t_end`` must be a whole number of steps, and a coupling whose RK4
+    stage terms overflow raises ``NumericsError`` at step 0.
     """
     chi = _as_unit_amplitude(chi0)
-    n_steps = step_count(t_end, dt, chi.size)
-    times = dt * np.arange(n_steps + 1)
-    traj = np.empty((n_steps + 1, chi.size))
-    traj[0] = chi
-    bad = kernels.amplitude_evolve(traj, validate_coupling(coupling, chi.size), dt)
-    if bad >= 0:
-        raise NumericsError(f"non-finite amplitudes at step {bad}")
-    return Trajectory(times, traj)
+    k = validate_coupling(coupling, chi.size)
+    return _trajectory(kernels.amplitude_evolve, chi, t_end, dt, k)
 
 
 def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
@@ -125,7 +123,8 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
 
     Converges to the dominant eigenvector of the symmetric coupling matrix
     reachable from the start (components of the start along it must be
-    non-zero).
+    non-zero). The coupling is validated once; the flow runs in stretches
+    of 100 steps, and the kernel diagonalises it again for each stretch.
     """
     chi = _as_unit_amplitude(chi0)
     k = validate_coupling(coupling, chi.size)
@@ -133,6 +132,6 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
     while steps_done < max_steps:
         if float(np.linalg.norm(_rhs(chi, k))) < tol:
             return chi, rayleigh(chi, k), steps_done
-        chi = itm_evolve(chi, k, 100 * dt, dt).states[-1]
+        chi = _trajectory(kernels.amplitude_evolve, chi, 100 * dt, dt, k).states[-1]
         steps_done += 100
     raise NumericsError(f"no steady state within {max_steps} steps")

@@ -163,7 +163,6 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     diverges and the solver reports the cap.
     """
     from scipy.optimize import brentq
-    from scipy.special import exp1
 
     if not (total > 0.0 and x0 > 0.0 and n >= 1):
         raise InputDataError("need total > 0, x0 > 0, n >= 1")
@@ -174,7 +173,7 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
         )
 
     def phi(z: float) -> float:
-        return math.exp(-z) / (z * float(exp1(z)))
+        return mean_population_from(z, 1.0)
 
     lo, hi = 1e-12, 1.0
     if not phi(lo) > ratio:
@@ -235,26 +234,27 @@ def ks_distance(populations, model: MaxEntModel) -> float:
 
 @dataclass(frozen=True)
 class RankDistribution:
-    """Populations against descending rank (rank 1 = largest)."""
+    """Populations in descending order; the rank of each is its position (rank 1 = largest)."""
 
-    ranks: np.ndarray
     populations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", np.asarray(self.ranks, dtype=float))
         object.__setattr__(self, "populations", np.asarray(self.populations, dtype=float))
-        if self.ranks.shape != self.populations.shape or self.ranks.ndim != 1:
-            raise InputDataError("ranks and populations must be matching 1-d vectors")
+        if self.populations.ndim != 1:
+            raise InputDataError("populations must be a 1-d vector")
         if np.any(np.diff(self.populations) > 0.0):
             raise InputDataError("populations must be sorted non-increasing")
 
+    @property
+    def ranks(self) -> np.ndarray:
+        return np.arange(1, len(self) + 1, dtype=float)
+
     @classmethod
     def from_sample(cls, populations) -> "RankDistribution":
-        xs = np.sort(np.asarray(populations, dtype=float))[::-1]
-        return cls(np.arange(1, xs.size + 1, dtype=float), xs)
+        return cls(np.sort(np.asarray(populations, dtype=float))[::-1])
 
     def __len__(self):
-        return self.ranks.shape[0]
+        return self.populations.shape[0]
 
 
 def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:

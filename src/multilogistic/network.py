@@ -406,7 +406,7 @@ def kernel_density(params: DiffusionKernelParams, x, t: float):
     return float(dens) if np.ndim(x) == 0 else dens
 
 
-def growth_statistics(sizes, total: float, dt: float = 1.0) -> dict:
+def growth_statistics(sizes, total: float) -> dict:
     """Per-iteration ensemble statistics of growth processes in y-space.
 
     ``sizes`` is a (k, L) array of cumulative cluster sizes, as returned by
@@ -415,8 +415,8 @@ def growth_statistics(sizes, total: float, dt: float = 1.0) -> dict:
     still growing: where the next size is larger (the arrival point, where
     the exhausted cluster stops moving, is censored like any first-passage
     sample) and below saturation (x < total, where y is defined). Returns
-    arrays keyed by ``t``, ``count`` (interior processes), ``median_x``,
-    ``median_y`` and ``var_y``.
+    arrays keyed by ``t`` (the iteration index), ``count`` (interior
+    processes), ``median_x``, ``median_y`` and ``var_y``.
     """
     sizes = np.asarray(sizes)
     x = sizes.astype(float)
@@ -436,7 +436,7 @@ def growth_statistics(sizes, total: float, dt: float = 1.0) -> dict:
         med_y[it] = np.median(ys)
         var_y[it] = np.var(ys)
     return {
-        "t": np.arange(length, dtype=float) * dt,
+        "t": np.arange(length, dtype=float),
         "count": count,
         "median_x": med_x,
         "median_y": med_y,
@@ -444,7 +444,7 @@ def growth_statistics(sizes, total: float, dt: float = 1.0) -> dict:
     }
 
 
-def fit_kernel(sizes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
+def fit_kernel(sizes, total: float) -> DiffusionKernelParams:
     """Extract (drift, diffusion) from a (k, L) array of growth processes.
 
     The per-iteration median of y gives the drift by least squares; the
@@ -453,7 +453,7 @@ def fit_kernel(sizes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
     half of the processes, and at least 30, are interior (see
     :func:`growth_statistics`) enter either fit.
     """
-    stats = growth_statistics(sizes, total, dt)
+    stats = growth_statistics(sizes, total)
     if len(sizes) < _MIN_PROCESSES:
         raise InputDataError(f"kernel fit needs at least {_MIN_PROCESSES} processes")
     need = max(_MIN_PROCESSES, int(math.ceil(0.5 * len(sizes))))
@@ -471,4 +471,4 @@ def fit_kernel(sizes, total: float, dt: float = 1.0) -> DiffusionKernelParams:
     diff_coeff = max(diff_coeff, 0.0)
 
     y0 = float(med[0] - drift * t_grid[0])
-    return DiffusionKernelParams(drift, diff_coeff, y0, total, dt)
+    return DiffusionKernelParams(drift, diff_coeff, y0, total)

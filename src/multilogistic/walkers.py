@@ -152,9 +152,7 @@ class WalkerEnsemble:
             rank_acc += np.sort(self.x)[::-1]
             if s < samples - 1:
                 self.run(sample_every - 1)
-        rank_table = RankDistribution(
-            np.arange(1, self.n + 1, dtype=float), rank_acc / samples
-        )
+        rank_table = RankDistribution(rank_acc / samples)
         try:
             corr = scale_invariance_corr(
                 np.stack([before.ravel(), after.ravel()]), self.dt

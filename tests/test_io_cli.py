@@ -550,6 +550,8 @@ class TestBadInput:
          "matrix_empty.csv: expected one or more rows"),
         (["itm", "--matrix", "{matrix_non_numeric}", "--initial", "50,50"],
          "matrix_non_numeric.csv: line 2"),
+        # its norm overflows, its asymmetry must still be seen
+        (["itm", "--matrix", "{matrix_antisymmetric}", "--initial", "50,50"], "symmetric"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
         (["rankfit", "--input", "{populations}", "--x0", "nan"], "x0"),
         (["rankfit", "--input", "{populations}", "--x0", "inf"], "x0"),
@@ -565,6 +567,10 @@ class TestBadInput:
          "--epoch"),
         (["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
           "--horizon", "-1"], "--horizon"),
+        (["forecast", "--input", "{shares_nan}", "--reference", "explorer", "--epoch", "2012-03"],
+         "shares_nan.csv: line 3"),
+        (["forecast", "--input", "{shares_inf}", "--reference", "explorer", "--epoch", "2012-03"],
+         "shares_inf.csv: line 3"),
         # the shares are valid: the scaled total overflows or is subnormal
         *[(["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
             "--n-prime-factor", factor], "n_prime_factor") for factor in ("inf", "1e307", "5e-324")],
@@ -587,10 +593,12 @@ class TestBadInput:
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-dt-tiny", "itm-dt-subnormal",
             "itm-t-end-huge", "itm-t-end-partial-step", "itm-dt-huge", "itm-matrix-empty",
-            "itm-matrix-non-numeric", "rankfit-drop-top", "rankfit-x0-nan", "rankfit-x0-inf",
+            "itm-matrix-non-numeric", "itm-matrix-antisymmetric-huge", "rankfit-drop-top",
+            "rankfit-x0-nan", "rankfit-x0-inf",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
-            "forecast-epoch-text", "forecast-horizon-negative", "forecast-n-prime-factor-inf",
+            "forecast-epoch-text", "forecast-horizon-negative", "forecast-share-nan",
+            "forecast-share-inf", "forecast-n-prime-factor-inf",
             "forecast-n-prime-factor-huge", "forecast-n-prime-factor-subnormal", "out-existing-file",
             "rankfit-input-directory", "forecast-input-directory", "itm-matrix-directory",
             "diffuse-edges-directory", "itm-matrix-missing", "diffuse-edges-missing",
@@ -604,6 +612,8 @@ class TestBadInput:
         matrix_empty.write_text("")
         matrix_non_numeric = tmp_path / "matrix_non_numeric.csv"
         matrix_non_numeric.write_text("0.0,0.1\n0.1,x\n")
+        matrix_antisymmetric = tmp_path / "matrix_antisymmetric.csv"
+        matrix_antisymmetric.write_text("0,1e200\n-1e200,0\n")
         populations = tmp_path / "pops.csv"
         model = solve_lambda(6e5, 100, 150.0)
         write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
@@ -618,13 +628,22 @@ class TestBadInput:
         shares = tmp_path / "s2.csv"
         write_share_csv(shares)
         shares_bytes = shares.read_bytes()
+        # the first component of the second data row, on line 3
+        header, first, second, *rest = shares_bytes.decode().splitlines(keepends=True)
+        date, _, *others = second.split(",")
+        for value in ("nan", "inf"):
+            (tmp_path / f"shares_{value}.csv").write_text(
+                "".join([header, first, ",".join([date, value, *others]), *rest]))
         # 0x80, in the first line, cannot start a UTF-8 character
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\x7fELF" + bytes(range(256)))
         argv = [a.format(matrix=matrix, matrix_empty=matrix_empty,
-                         matrix_non_numeric=matrix_non_numeric, populations=populations,
+                         matrix_non_numeric=matrix_non_numeric,
+                         matrix_antisymmetric=matrix_antisymmetric, populations=populations,
                          header_only=header_only, non_integer=non_integer,
                          underscore=underscore, quoted=quoted, shares=shares,
+                         shares_nan=tmp_path / "shares_nan.csv",
+                         shares_inf=tmp_path / "shares_inf.csv",
                          directory=tmp_path, missing=tmp_path / "missing.csv", binary=binary)
                 for a in argv]
         out = tmp_path / "out"

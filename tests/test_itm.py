@@ -5,6 +5,7 @@ import pytest
 
 from multilogistic import (
     InputDataError,
+    NumericsError,
     closed_form,
     from_amplitude,
     ground_state,
@@ -167,3 +168,21 @@ class TestValidation:
     def test_non_square_rejected(self):
         with pytest.raises(InputDataError):
             validate_coupling(np.ones((2, 3)))
+
+    # the norm of these overflows; the comparison must not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [[[0.0, 1e200], [-1e200, 0.0]], [[1.0, 1e308], [0.0, 1.0]]],
+                             ids=["antisymmetric-1e200", "upper-1e308"])
+    def test_huge_asymmetry_rejected(self, k):
+        with pytest.raises(InputDataError, match="symmetric"):
+            validate_coupling(np.array(k))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_symmetric_accepted(self):
+        k = np.diag([1e308, -1e308])
+        assert np.array_equal(validate_coupling(k), k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coupling_fails_at_step_0(self):
+        with pytest.raises(NumericsError, match="at step 0$"):
+            itm_evolve(np.array([0.6, 0.0, 0.8]), np.diag([1e200, 0.0, -1e200]), 1.0, 1e-2)

@@ -200,9 +200,7 @@ class TestCdfAndKs:
 class TestFitLambda:
     def test_exact_recovery(self):
         model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
-        data = RankDistribution(
-            np.arange(1, 1001.0), analytic_rank(model, np.arange(1, 1001.0))
-        )
+        data = RankDistribution(analytic_rank(model, np.arange(1, 1001.0)))
         lam, stderr = fit_lambda(data, REF_X0)
         assert lam == pytest.approx(model.lam, rel=1e-8)
         assert stderr < 1e-8
@@ -233,10 +231,10 @@ class TestFitLambda:
 
     def test_requires_enough_entries(self):
         with pytest.raises(InputDataError):
-            fit_lambda(RankDistribution(np.arange(1, 5.0), np.full(4, 200.0)), 150.0)
+            fit_lambda(RankDistribution(np.full(4, 200.0)), 150.0)
 
     def test_rejects_below_floor(self):
-        data = RankDistribution(np.arange(1, 21.0), np.linspace(500, 100, 20))
+        data = RankDistribution(np.linspace(500, 100, 20))
         with pytest.raises(InputDataError):
             fit_lambda(data, 150.0)
 
@@ -253,7 +251,13 @@ class TestHelpers:
 
     def test_rank_distribution_validation(self):
         with pytest.raises(InputDataError):
-            RankDistribution(np.array([1.0, 2.0]), np.array([100.0, 200.0]))
+            RankDistribution(np.array([100.0, 200.0]))
+
+    def test_rank_distribution_ranks_from_position(self):
+        data = RankDistribution(np.array([300.0, 200.0, 200.0, 150.0]))
+        assert np.array_equal(data.ranks, np.arange(1, 5.0))
+        with pytest.raises(InputDataError, match="1-d"):
+            RankDistribution(np.array([[300.0, 200.0], [200.0, 150.0]]))
 
     def test_model_validation(self):
         for lam, x0, n in [(0.0, 150.0, 10), (0.005, -1.0, 10), (0.005, 150.0, 0)]:
