@@ -226,11 +226,14 @@ def cmd_forecast(args, out: Path):
 
 def cmd_itm(args, out: Path):
     coupling = io.read_matrix(args.matrix)
-    coupling = itm.validate_coupling(coupling)
     try:
         x0 = np.asarray([float(v) for v in args.initial.split(",")], dtype=float)
     except ValueError as exc:
         raise InputDataError(f"bad --initial value: {args.initial!r}") from exc
+    # closed_form's cross-check of a diagonal K needs positive populations: checked
+    # here, before any work, so a zero entry is rejected whatever K is
+    if not np.all((x0 > 0.0) & (x0 < np.inf)):
+        raise InputDataError(f"--initial entries must be finite and positive: {args.initial!r}")
     total = args.total if args.total is not None else float(x0.sum())
     chi0 = itm.to_amplitude(x0, total)
     traj = itm.itm_evolve(chi0, coupling, args.t_end, args.dt)

@@ -50,10 +50,10 @@ def from_amplitude(chi, total: float) -> np.ndarray:
 
 
 def validate_coupling(coupling, n: int | None = None) -> np.ndarray:
-    """The rate matrix as float, checked to be square, symmetric and (given ``n``) n x n."""
+    """The rate matrix as float, checked to be square, non-empty, symmetric and (given n) n x n."""
     k = np.asarray(coupling, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise InputDataError("coupling must be a square matrix")
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
+        raise InputDataError("coupling must be a non-empty square matrix")
     if not np.all(np.isfinite(k)):
         raise InputDataError("coupling must be finite")
     # compared in units of a power of two near max|K|, exact and finite even
@@ -100,21 +100,32 @@ def rayleigh(chi, coupling) -> float:
     return float(chi @ k @ chi) / float(chi @ chi)
 
 
+def _start(chi0, coupling):
+    """The unit start, K checked against it, and (lam, Q) of K's symmetric part.
+
+    K + (K^T - K)/2 is K bit for bit when K is symmetric, and it averages
+    both triangles when ``validate_coupling`` let a rounding-level asymmetry
+    through (``eigh`` reads one triangle).
+    """
+    chi = _as_unit_amplitude(chi0)
+    k = validate_coupling(coupling, chi.size)
+    return chi, k, np.linalg.eigh(k + 0.5 * (k.T - k))
+
+
 def itm_evolve(chi0, coupling, t_end: float, dt: float) -> Trajectory:
     """Fixed-step 4th-order integration, rescaled to unit norm every step.
 
     The flow is the linear flow dchi/dt = K chi/2 projected onto the unit
     sphere, the amplitude form of scale-invariant growth under the
-    conserved total. Each step is RK4 of the linear flow followed by the
-    projection (``kernels.amplitude_evolve``): the kernel diagonalises
-    ``coupling`` once, and in its eigenbasis the step is the one of
+    conserved total. ``coupling`` is validated and diagonalised once, and
+    each step is RK4 of the linear flow in its eigenbasis followed by the
+    projection (``kernels.amplitude_evolve``): the step of
     ``core.integrate``, on the same step grid and with the same checks:
     ``t_end`` must be a whole number of steps, and a coupling whose RK4
     stage terms overflow raises ``NumericsError`` at step 0.
     """
-    chi = _as_unit_amplitude(chi0)
-    k = validate_coupling(coupling, chi.size)
-    return _trajectory(kernels.amplitude_evolve, chi, t_end, dt, k)
+    chi, _, basis = _start(chi0, coupling)
+    return _trajectory(kernels.amplitude_evolve, chi, t_end, dt, *basis)
 
 
 def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
@@ -123,15 +134,19 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
 
     Converges to the dominant eigenvector of the symmetric coupling matrix
     reachable from the start (components of the start along it must be
-    non-zero). The coupling is validated once; the flow runs in stretches
-    of 100 steps, and the kernel diagonalises it again for each stretch.
+    non-zero). ``tol`` must be finite and positive and ``max_steps`` at
+    least 1. The coupling is validated and diagonalised once; the flow runs
+    in stretches of 100 steps, each stepped in that one eigenbasis.
     """
-    chi = _as_unit_amplitude(chi0)
-    k = validate_coupling(coupling, chi.size)
+    if not 0.0 < tol < np.inf:
+        raise InputDataError(f"tol must be finite and positive, got {tol}")
+    if not max_steps >= 1:
+        raise InputDataError(f"max_steps must be at least 1, got {max_steps}")
+    chi, k, basis = _start(chi0, coupling)
     steps_done = 0
     while steps_done < max_steps:
         if float(np.linalg.norm(_rhs(chi, k))) < tol:
             return chi, rayleigh(chi, k), steps_done
-        chi = _trajectory(kernels.amplitude_evolve, chi, 100 * dt, dt, k).states[-1]
+        chi = _trajectory(kernels.amplitude_evolve, chi, 100 * dt, dt, *basis).states[-1]
         steps_done += 100
     raise NumericsError(f"no steady state within {max_steps} steps")

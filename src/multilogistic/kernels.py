@@ -11,7 +11,9 @@ one multiplier per step (the degree-4 Taylor polynomial of exp(dt A)), and
 projects back onto the constraint after every step. In the eigenbasis of
 the amplitude flow's matrix the linear flow is component-wise growth too, so
 both kernels take one step rule (``_log_multiplier``) and the exponents
-(s+1)*log g of step s from one helper (``_step_exponents``).
+(s+1)*log g of step s from one helper (``_step_exponents``). The amplitude
+kernel is handed that eigenbasis: ``itm`` validates and diagonalises the
+matrix once per run, however many stretches it steps.
 
 The callers (``walkers``, ``network``, ``core``, ``itm``) look the kernels up
 as ``kernels.<name>`` at call time, so a profiler can wrap them from outside.
@@ -169,24 +171,22 @@ def integrate_constant(traj, rates, total, dt):
     return -1
 
 
-def amplitude_evolve(traj, coupling, dt):
+def amplitude_evolve(traj, lam, q, dt):
     """Fill ``traj[1:]`` from ``traj[0]`` under dc/dt = (K c - <c,Kc>/<c,c> c)/2.
 
-    The flow is the linear flow dc/dt = K c/2 projected onto the unit
-    sphere. With K = Q diag(lam) Q^T the linear flow is dw/dt = (lam/2) w
-    for w = Q^T c, so one RK4 step multiplies w by the g of
-    ``integrate_constant`` at the rates lam/2. Row s of ``traj[1:]`` is Q
-    times sign(w0) exp((s+1) log g + log|w0|), the largest exponent of the
-    row subtracted first, scaled to unit norm. A start with no weight along
-    an eigenvector keeps none. K is diagonalised once, as the symmetric part
-    K + (K^T - K)/2: that is K bit for bit when K is symmetric, and it
-    averages both triangles when ``validate_coupling`` let a rounding-level
-    asymmetry through (``eigh`` reads one triangle).
+    K = Q diag(lam) Q^T is given by its eigenbasis: ``lam`` (n,) and the
+    orthogonal ``q`` (n, n), eigenvectors in its columns. The flow is the
+    linear flow dc/dt = K c/2 projected onto the unit sphere, and the linear
+    flow is dw/dt = (lam/2) w for w = Q^T c, so one RK4 step multiplies w by
+    the g of ``integrate_constant`` at the rates lam/2. Row s of
+    ``traj[1:]`` is Q times sign(w0) exp((s+1) log g + log|w0|), the largest
+    exponent of the row subtracted first, scaled to unit norm. A start with
+    no weight along an eigenvector keeps none. The kernel only steps; the
+    caller (``itm``) validates and diagonalises K.
 
     Returns -1 on success, else 0 (every step fails).
     """
     h = traj[1:]
-    lam, q = np.linalg.eigh(coupling + 0.5 * (coupling.T - coupling))
     if not _step_exponents(h, 0.5 * lam, dt):
         return 0
     w0 = q.T @ traj[0]

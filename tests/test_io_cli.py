@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import multilogistic
-from multilogistic import io
+from multilogistic import io, itm
 from multilogistic.cli import main
 from multilogistic.core import closed_form
 from multilogistic.errors import InputDataError
@@ -478,6 +478,21 @@ class TestItmCommand:
                      "--out", str(tmp_path)]) == 2
         assert "asymmetry" in capsys.readouterr().err
 
+    def test_coupling_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = itm.validate_coupling
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(itm, "validate_coupling", counted)
+        m = tmp_path / "k.csv"
+        io.write_matrix(m, np.array([[0.1, 0.3], [0.3, 0.4]]))
+        assert main(["itm", "--matrix", str(m), "--initial", "50,50",
+                     "--out", str(tmp_path / "itm")]) == 0
+        assert len(calls) == 1
+
 
 class TestManifest:
     def test_contents(self, tmp_path):
@@ -552,6 +567,9 @@ class TestBadInput:
          "matrix_non_numeric.csv: line 2"),
         # its norm overflows, its asymmetry must still be seen
         (["itm", "--matrix", "{matrix_antisymmetric}", "--initial", "50,50"], "symmetric"),
+        # a zero population is rejected whether or not K is diagonal
+        (["itm", "--matrix", "{matrix}", "--initial", "50,0"], "--initial"),
+        (["itm", "--matrix", "{matrix_coupled}", "--initial", "50,0"], "--initial"),
         (["rankfit", "--input", "{populations}", "--drop-top", "-3"], "drop_top"),
         (["rankfit", "--input", "{populations}", "--x0", "nan"], "x0"),
         (["rankfit", "--input", "{populations}", "--x0", "inf"], "x0"),
@@ -593,7 +611,8 @@ class TestBadInput:
             "sfin-seed", "diffuse-seed", "diffuse-processes", "diffuse-density-negative",
             "diffuse-density-inf", "itm-t-end", "itm-dt", "itm-dt-tiny", "itm-dt-subnormal",
             "itm-t-end-huge", "itm-t-end-partial-step", "itm-dt-huge", "itm-matrix-empty",
-            "itm-matrix-non-numeric", "itm-matrix-antisymmetric-huge", "rankfit-drop-top",
+            "itm-matrix-non-numeric", "itm-matrix-antisymmetric-huge",
+            "itm-initial-zero-diagonal", "itm-initial-zero-coupled", "rankfit-drop-top",
             "rankfit-x0-nan", "rankfit-x0-inf",
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
@@ -614,6 +633,8 @@ class TestBadInput:
         matrix_non_numeric.write_text("0.0,0.1\n0.1,x\n")
         matrix_antisymmetric = tmp_path / "matrix_antisymmetric.csv"
         matrix_antisymmetric.write_text("0,1e200\n-1e200,0\n")
+        matrix_coupled = tmp_path / "matrix_coupled.csv"
+        io.write_matrix(matrix_coupled, np.array([[0.0, 0.3], [0.3, 0.4]]))
         populations = tmp_path / "pops.csv"
         model = solve_lambda(6e5, 100, 150.0)
         write_population_csv(populations, analytic_rank(model, np.arange(1, 101.0)))
@@ -639,7 +660,8 @@ class TestBadInput:
         binary.write_bytes(b"\x7fELF" + bytes(range(256)))
         argv = [a.format(matrix=matrix, matrix_empty=matrix_empty,
                          matrix_non_numeric=matrix_non_numeric,
-                         matrix_antisymmetric=matrix_antisymmetric, populations=populations,
+                         matrix_antisymmetric=matrix_antisymmetric,
+                         matrix_coupled=matrix_coupled, populations=populations,
                          header_only=header_only, non_integer=non_integer,
                          underscore=underscore, quoted=quoted, shares=shares,
                          shares_nan=tmp_path / "shares_nan.csv",

@@ -158,6 +158,43 @@ class TestGroundState:
         assert q == pytest.approx(w[top].real, abs=1e-9)
         assert abs(float(chi @ v[:, top].real)) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(InputDataError, match="tol must be finite and positive"):
+            ground_state(np.array([0.6, 0.8]), np.diag([1.0, 0.5]), tol=tol)
+
+    @pytest.mark.parametrize("max_steps", [0, -1, math.nan])
+    def test_bad_max_steps_rejected(self, max_steps):
+        with pytest.raises(InputDataError, match="max_steps must be at least 1"):
+            ground_state(np.array([0.6, 0.8]), np.diag([1.0, 0.5]), max_steps=max_steps)
+
+
+class TestDiagonalisedOnce:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_itm_evolve(self, eigh_calls):
+        rng = np.random.default_rng(12)
+        chi0 = rng.uniform(0.1, 1.0, size=5)
+        itm_evolve(chi0 / np.linalg.norm(chi0), random_symmetric(rng, 5), 5.0, 1e-2)
+        assert eigh_calls == [(5, 5)]
+
+    def test_ground_state_every_stretch_in_one_basis(self, eigh_calls):
+        rng = np.random.default_rng(9)
+        chi0 = rng.uniform(0.1, 1.0, size=6)
+        _, _, steps = ground_state(chi0 / np.linalg.norm(chi0), random_symmetric(rng, 6))
+        assert steps > 100  # more than one stretch of 100 steps
+        assert eigh_calls == [(6, 6)]
+
 
 class TestValidation:
     def test_validate_coupling_reports_asymmetry(self):
@@ -168,6 +205,10 @@ class TestValidation:
     def test_non_square_rejected(self):
         with pytest.raises(InputDataError):
             validate_coupling(np.ones((2, 3)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputDataError, match="square matrix"):
+            validate_coupling(np.zeros((0, 0)))
 
     # the norm of these overflows; the comparison must not
     @pytest.mark.filterwarnings("error")
