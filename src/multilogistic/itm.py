@@ -136,7 +136,9 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
     reachable from the start (components of the start along it must be
     non-zero). ``tol`` must be finite and positive and ``max_steps`` at
     least 1. The coupling is validated and diagonalised once; the flow runs
-    in stretches of 100 steps, each stepped in that one eigenbasis.
+    in stretches of 100 steps, each stepped in that one eigenbasis, the last
+    one cut short so that no more than ``max_steps`` steps are taken. The
+    state after the last stretch is checked like every other.
     """
     if not 0.0 < tol < np.inf:
         raise InputDataError(f"tol must be finite and positive, got {tol}")
@@ -144,9 +146,10 @@ def ground_state(chi0, coupling, dt: float = 1e-2, tol: float = 1e-10,
         raise InputDataError(f"max_steps must be at least 1, got {max_steps}")
     chi, k, basis = _start(chi0, coupling)
     steps_done = 0
-    while steps_done < max_steps:
-        if float(np.linalg.norm(_rhs(chi, k))) < tol:
-            return chi, rayleigh(chi, k), steps_done
-        chi = _trajectory(kernels.amplitude_evolve, chi, 100 * dt, dt, *basis).states[-1]
-        steps_done += 100
-    raise NumericsError(f"no steady state within {max_steps} steps")
+    while not float(np.linalg.norm(_rhs(chi, k))) < tol:
+        stretch = int(min(100, max_steps - steps_done))
+        if stretch < 1:
+            raise NumericsError(f"no steady state within {max_steps} steps")
+        chi = _trajectory(kernels.amplitude_evolve, chi, stretch * dt, dt, *basis).states[-1]
+        steps_done += stretch
+    return chi, rayleigh(chi, k), steps_done

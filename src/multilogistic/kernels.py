@@ -2,6 +2,10 @@
 
 The cluster BFS is scipy's compiled breadth-first order, not a numpy loop.
 
+The walker kernel is handed each step's move factors and only steps: the
+noise model that draws them (drift, sigma, dt) belongs to ``walkers``, which
+turns each block of normals into factors in place.
+
 The two RK4 kernels follow the paper's derivation of the logistic equation:
 scale-invariant growth dy/dt = r*y, then the mean-value constraint
 sum(x) = total. Both the conserved-total equation and the amplitude flow are
@@ -31,11 +35,13 @@ USING_NUMBA = False
 # ---------------------------------------------------------------------------
 
 
-def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
+def advance_walkers_seq(x, kicks, total, floor, counts):
     """Advance walkers one at a time, restoring the total after every move.
 
-    Walker i proposes the multiplicative kick exp(dt*(drift_i + sigma_i*xi));
-    the global rescale that keeps sum(x) = total is applied immediately, and
+    Row s of ``kicks`` holds step s's move factors: walker i proposes to
+    multiply its population by ``kicks[s, i]``. The caller owns the noise
+    model that draws them (``walkers`` uses exp(dt*(drift_i + sigma_i*xi))).
+    The global rescale that keeps sum(x) = total is applied immediately, and
     the whole move is rejected if it would leave the mover or any other
     walker below the floor. Sequential moves with whole-move rejection
     sample the flat measure on the constraint surface, so the ensemble
@@ -48,9 +54,12 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
     is rejected if b_k*m_k < floor, or if d_k > 0 and the smallest other
     stored value times m_k is below the floor. Decision k depends only on
     the decisions before it, so the step's decision vector is the unique
-    fixed point of that map. Iterating it from a guess that checks only the
-    movers settles at least one more leading decision per round and stops
-    within n + 1 rounds (the Jacobi iteration of Song et al., "Accelerating
+    fixed point of that map. Iteration starts from the guess that accepts
+    every move whose mover stays above the floor when all moves are
+    accepted; when that guess accepts every move, the first round reuses
+    its sums and rescales instead of taking them again. Each round settles
+    at least one more leading decision and the iteration stops within
+    n + 1 rounds (the Jacobi iteration of Song et al., "Accelerating
     Feedforward Computation via Parallel Nonlinear Equation Solving", ICML
     2021). The ``cumsum`` rounds differently from a running product, so the
     states differ from a one-move-at-a-time loop in the last bits only.
@@ -67,44 +76,60 @@ def advance_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
     left at the state from the start of that step.
     """
     n = x.shape[0]
-    kick = np.empty(n + 1)   # the stored sum, then each accepted d_k
-    prior = np.empty(n + 1)  # stored sum before move k; prior[n] after the step
-    low = np.empty(n)        # smallest stored value among the walkers before k
+    proposed = np.empty(n + 1)  # the stored sum, then every d_k
+    taken = np.empty(n + 1)     # the stored sum, then each accepted d_k
+    prior = np.empty(n + 1)     # stored sum before move k; prior[n] after the step
+    low = np.empty(n)           # smallest stored value among the walkers before k
     low[0] = np.inf
-    after = np.empty(n)      # smallest value among the walkers after k
+    after = np.empty(n)         # smallest value among the walkers after k
     after[-1] = np.inf
+    b = np.empty(n)             # the proposals
+    m = np.empty(n)             # the rescale after move k
+    check = np.empty(n)         # the smallest value move k leaves, times m_k
+    d, before_k, later = proposed[1:], prior[:n], x[:0:-1]
     accepted = sinks = squeezes = 0
     try:
         # a step that overflows passes inf and nan on to the failure it returns
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(normals.shape[0]):
-                b = x * np.exp(dt * (drift + sigma * normals[s]))
-                d = b - x
+            for s in range(kicks.shape[0]):
+                np.multiply(x, kicks[s], out=b)
+                np.subtract(b, x, out=d)
                 # a growing move shrinks every other walker, so its check covers
                 # the smallest of them too; a shrinking move only risks the mover
                 cap = np.where(d > 0.0, -np.inf, np.inf)
-                np.minimum.accumulate(x[:0:-1], out=after[-2::-1])
+                np.minimum.accumulate(later, out=after[-2::-1])
                 bound = np.minimum(b, np.maximum(after, cap))
-                kick[0] = x.sum()
+                proposed[0] = taken[0] = x.sum()
                 # first guess: accept every move whose mover stays above the floor
                 # when all moves are accepted
-                kick[1:] = d
-                np.cumsum(kick, out=prior)
-                acc = b * (total / (prior[:n] + d)) >= floor
+                np.add.accumulate(proposed, out=prior)
+                np.add(before_k, d, out=m)
+                np.divide(total, m, out=m)
+                np.multiply(b, m, out=check)
+                acc = check >= floor
+                # a guess that accepts every move has taken round one's sums already
+                stored = b if np.count_nonzero(acc) == n else None
                 while True:
-                    np.multiply(d, acc, out=kick[1:])
-                    np.cumsum(kick, out=prior)
-                    m = total / (prior[:n] + d)
-                    stored = np.where(acc, b, x)
+                    if stored is None:
+                        np.multiply(d, acc, out=taken[1:])
+                        np.add.accumulate(taken, out=prior)
+                        np.add(before_k, d, out=m)
+                        np.divide(total, m, out=m)
+                        stored = np.where(acc, b, x)
                     np.minimum.accumulate(stored[:-1], out=low[1:])
-                    guess, acc = acc, np.minimum(bound, np.maximum(low, cap)) * m >= floor
-                    if not (acc ^ guess).any():
+                    np.maximum(low, cap, out=check)
+                    np.minimum(bound, check, out=check)
+                    check *= m
+                    guess, acc = acc, check >= floor
+                    if not np.count_nonzero(acc ^ guess):
                         break
-                if not (m.min() > 0.0 and m.max() < np.inf):
+                    stored = None
+                if not (np.minimum.reduce(m) > 0.0 and np.maximum.reduce(m) < np.inf):
                     return s
-                x[:] = stored * (total / prior[n])
+                np.multiply(stored, total / prior[n], out=x)
                 kept = int(np.count_nonzero(acc))
-                sunk = int(np.count_nonzero(b * m < floor))
+                # an accepted mover stays above the floor, so sinks need a rejection
+                sunk = int(np.count_nonzero(b * m < floor)) if kept < n else 0
                 accepted += kept
                 sinks += sunk
                 squeezes += n - kept - sunk

@@ -277,10 +277,16 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     start = solve_lambda(float(pops.sum()), n, x0).lam
 
     history: list[float] = []
+    # least_squares takes the Jacobian at the theta whose residuals it has
+    # just taken, so each theta's model is computed once
+    models: dict[float, tuple[float, np.ndarray]] = {}
 
     def model_at(theta):
-        lam = float(np.exp(theta[0]))
-        return lam, analytic_rank(MaxEntModel(lam, x0, n), ranks)
+        key = float(theta[0])
+        if key not in models:
+            lam = float(np.exp(key))
+            models[key] = lam, analytic_rank(MaxEntModel(lam, x0, n), ranks)
+        return models[key]
 
     def residuals(theta):
         res = np.log(model_at(theta)[1]) - log_data

@@ -4,10 +4,13 @@ Each walker is a population under proportional growth: a move multiplies
 x_i by exp(dt*(drift_i + sigma_i*xi)), one walker at a time, and the whole
 ensemble is rescaled at once so the total population stays pinned. A move
 that would leave any population below the floor is rejected outright. Long
-runs equilibrate to the rank-size law solved in :mod:`.maxent`. The kernel
-keeps that sequential rule but solves each step's accept/reject decisions
-together in numpy, as the fixed point described in
-:func:`.kernels.advance_walkers_seq`.
+runs equilibrate to the rank-size law solved in :mod:`.maxent`.
+
+The ensemble owns the noise model: it draws the normals a block of steps at
+a time and turns them into the move factors exp(dt*(drift_i + sigma_i*xi))
+in place, in the same buffer. The kernel, :func:`.kernels.advance_walkers_seq`,
+only steps on those factors: it keeps the sequential rule but solves each
+step's accept/reject decisions together in numpy, as a fixed point.
 
 A single ensemble mutates its own state and is not thread-safe; independent
 ensembles (distinct seeds) can run in parallel freely. The noise stream
@@ -111,16 +114,22 @@ class WalkerEnsemble:
         """Advance the ensemble by ``steps`` steps."""
         if steps < 0:
             raise InputDataError("steps must be non-negative")
-        # one buffer, refilled in place: a fresh draw would hold two blocks at once
+        # one buffer, refilled and turned into move factors in place: a fresh
+        # draw or an out-of-place transform would hold two blocks at once
         buffer = np.empty((min(steps, max(1, _CHUNK_VALUES // self.n)), self.n))
         done = 0
         while done < steps:
-            normals = buffer[:steps - done]
-            chunk = normals.shape[0]
-            self._rng.standard_normal(out=normals)
+            kicks = buffer[:steps - done]
+            chunk = kicks.shape[0]
+            self._rng.standard_normal(out=kicks)
+            # exp(dt*(drift + sigma*xi)); a factor that overflows fails its step
+            with np.errstate(over="ignore"):
+                kicks *= self.sigma
+                kicks += self.drift
+                kicks *= self.dt
+                np.exp(kicks, out=kicks)
             bad = kernels.advance_walkers_seq(
-                self.x, normals, self.drift, self.sigma,
-                self.dt, self.total, self.floor, self.move_counts,
+                self.x, kicks, self.total, self.floor, self.move_counts,
             )
             if bad >= 0:
                 raise NumericsError(

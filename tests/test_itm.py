@@ -11,6 +11,7 @@ from multilogistic import (
     ground_state,
     itm_evolve,
     itm_rhs,
+    kernels,
     to_amplitude,
 )
 from multilogistic.itm import rayleigh, validate_coupling
@@ -167,6 +168,33 @@ class TestGroundState:
     def test_bad_max_steps_rejected(self, max_steps):
         with pytest.raises(InputDataError, match="max_steps must be at least 1"):
             ground_state(np.array([0.6, 0.8]), np.diag([1.0, 0.5]), max_steps=max_steps)
+
+
+class TestMaxSteps:
+    # this start converges after 2600 steps, checked at the end of a stretch
+    @pytest.fixture
+    def slow_start(self):
+        rng = np.random.default_rng(206)
+        a = rng.standard_normal((6, 6))
+        chi0 = rng.uniform(0.5, 1.5, 6)
+        return chi0 / np.linalg.norm(chi0), 0.5 * (a + a.T)
+
+    def test_converged_at_the_cap_is_returned(self, slow_start):
+        assert ground_state(*slow_start)[2] == 2600
+        assert ground_state(*slow_start, max_steps=2600)[2] == 2600
+
+    def test_cap_is_never_overstepped(self, slow_start, monkeypatch):
+        stepped = []
+        evolve = kernels.amplitude_evolve
+
+        def counted(traj, *args):
+            stepped.append(traj.shape[0] - 1)
+            return evolve(traj, *args)
+
+        monkeypatch.setattr(kernels, "amplitude_evolve", counted)
+        with pytest.raises(NumericsError, match="within 2501 steps"):
+            ground_state(*slow_start, max_steps=2501)
+        assert sum(stepped) == 2501
 
 
 class TestDiagonalisedOnce:

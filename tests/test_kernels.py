@@ -31,12 +31,13 @@ def _two_smallest(x):
     return i1, v1, i2, v2
 
 
-def _reference_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
+def _reference_walkers_seq(x, kicks, total, floor, counts):
     # The sequential walker written directly on the numpy arrays, one move at
     # a time with a running rescale multiplier: the definition whose
     # decisions kernels.advance_walkers_seq must reproduce move for move.
-    # counts gets (accepted, mover rejections, rescale rejections) added.
-    steps = normals.shape[0]
+    # Walker i's move in step s multiplies it by kicks[s, i]. counts gets
+    # (accepted, mover rejections, rescale rejections) added.
+    steps = kicks.shape[0]
     n = x.shape[0]
     mult = 1.0
     s_true = 0.0
@@ -45,9 +46,8 @@ def _reference_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
     i1, v1, i2, v2 = _two_smallest(x)
     for s in range(steps):
         for i in range(n):
-            f = math.exp(dt * (drift[i] + sigma[i] * normals[s, i]))
             a = x[i]
-            b = a * f
+            b = a * kicks[s, i]
             s_new = s_true + mult * (b - a)
             if not (s_new > 0.0 and math.isfinite(s_new)):
                 return s
@@ -101,15 +101,16 @@ def _reference_walkers_seq(x, normals, drift, sigma, dt, total, floor, counts):
 
 def _law_setup(n, packing, steps, seed):
     # populations on the equilibrium rank law of n walkers at the given
-    # packing total/(n*floor), in random order, with `steps` rows of normals
+    # packing total/(n*floor), in random order, with `steps` rows of the move
+    # factors exp(dt*xi) at dt = 0.03, sigma = 1 and no drift
     floor = 150.0
     total = packing * n * floor
     law = analytic_rank(solve_lambda(total, n, floor), np.arange(n) + 0.5)
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.permutation(np.maximum(law * (total / law.sum()), floor))
     x *= total / x.sum()
-    normals = rng.standard_normal((steps, n))
-    return x, normals, np.zeros(n), np.ones(n), 0.03, total, floor
+    kicks = np.exp(0.03 * rng.standard_normal((steps, n)))
+    return x, kicks, total, floor
 
 
 @pytest.fixture
@@ -117,10 +118,8 @@ def walker_setup():
     rng = np.random.Generator(np.random.Philox(99))
     n = 60
     x = np.full(n, 2e5)
-    normals = rng.standard_normal((150, n))
-    drift = np.zeros(n)
-    sigma = np.ones(n)
-    return x, normals, drift, sigma, 0.03, float(n * 2e5), 150.0
+    kicks = np.exp(0.03 * rng.standard_normal((150, n)))
+    return x, kicks, float(n * 2e5), 150.0
 
 
 @pytest.fixture
@@ -138,14 +137,14 @@ def packed_setup():
 def _assert_agrees(setup):
     # the same decisions as the oracle (its three counts) and the same state
     # up to summation order; returns the oracle's counts
-    x, normals, drift, sigma, dt, total, floor = setup
+    x, kicks, total, floor = setup
     a, b = x.copy(), x.copy()
     want = np.zeros(3, dtype=np.int64)
     got = np.zeros(3, dtype=np.int64)
-    assert _reference_walkers_seq(a, normals, drift, sigma, dt, total, floor, want) == -1
-    assert kernels.advance_walkers_seq(b, normals, drift, sigma, dt, total, floor, got) == -1
+    assert _reference_walkers_seq(a, kicks, total, floor, want) == -1
+    assert kernels.advance_walkers_seq(b, kicks, total, floor, got) == -1
     assert got.tolist() == want.tolist()
-    assert want.sum() == normals.size  # every move is counted once
+    assert want.sum() == kicks.size  # every move is counted once
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
     return want
 
@@ -167,15 +166,13 @@ class TestDispatch:
     def test_sequential_failure_reports_step_index(self, walker_setup):
         # the failing step is reported and x keeps the state from its start:
         # the oracle's state after the 97 steps before it
-        x, normals, drift, sigma, dt, total, floor = walker_setup
-        normals[97, 31] = np.nan
+        x, kicks, total, floor = walker_setup
+        kicks[97, 31] = np.nan
         a, b = x.copy(), x.copy()
         want = np.zeros(3, dtype=np.int64)
         got = np.zeros(3, dtype=np.int64)
-        assert _reference_walkers_seq(a, normals[:97], drift, sigma, dt, total, floor,
-                                      want) == -1
-        assert kernels.advance_walkers_seq(b, normals, drift, sigma, dt, total, floor,
-                                           got) == 97
+        assert _reference_walkers_seq(a, kicks[:97], total, floor, want) == -1
+        assert kernels.advance_walkers_seq(b, kicks, total, floor, got) == 97
         assert got.tolist() == want.tolist()
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
 

@@ -229,6 +229,24 @@ class TestFitLambda:
                 for f in (1.0 - 1e-15, 1.0, 1.0 + 1e-15)]
         assert max(lams) - min(lams) < 1e-12 * lams[1]
 
+    def test_each_lambda_modelled_once(self, monkeypatch):
+        # least_squares takes the Jacobian where it has just taken the
+        # residuals; the rank law is computed once per distinct lambda
+        model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
+        clean = analytic_rank(model, np.arange(1, 1001.0))
+        noisy = clean * (1.0 + 0.05 * np.random.default_rng(3).standard_normal(1000))
+        data = RankDistribution.from_sample(np.maximum(noisy, REF_X0))
+        lams = []
+
+        def counted(model, r):
+            lams.append(model.lam)
+            return analytic_rank(model, r)
+
+        monkeypatch.setattr(maxent, "analytic_rank", counted)
+        fit_lambda(data, REF_X0)
+        assert len(lams) >= 2
+        assert len(lams) == len(set(lams))
+
     def test_requires_enough_entries(self):
         with pytest.raises(InputDataError):
             fit_lambda(RankDistribution(np.full(4, 200.0)), 150.0)

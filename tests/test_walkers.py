@@ -7,6 +7,7 @@ from multilogistic import (
     InputDataError,
     NumericsError,
     WalkerEnsemble,
+    kernels,
     scale_invariance_corr,
 )
 
@@ -24,6 +25,22 @@ class TestStep:
         before = ens.populations
         ens.run(10)
         np.testing.assert_allclose(ens.populations, before, rtol=1e-12)
+
+    def test_kernel_steps_on_the_ensembles_move_factors(self):
+        # the ensemble turns its Philox normals into exp(dt*(drift + sigma*xi))
+        # per walker; the kernel steps on exactly those factors
+        rng = np.random.default_rng(4)
+        n, dt = 40, 0.05
+        sigma, drift = rng.uniform(0.0, 2.0, n), rng.normal(0.0, 0.5, n)
+        ens = WalkerEnsemble(rng.uniform(200.0, 2e3, n), n * 900.0, 150.0, dt,
+                             sigma=sigma, drift=drift, seed=21)
+        x, counts = ens.populations, np.zeros(3, dtype=np.int64)
+        xi = np.random.Generator(np.random.Philox(21)).standard_normal((300, n))
+        kicks = np.exp(dt * (drift + sigma * xi))
+        assert kernels.advance_walkers_seq(x, kicks, ens.total, ens.floor, counts) == -1
+        ens.run(300)
+        assert np.array_equal(ens.x, x)
+        assert ens.move_counts.tolist() == counts.tolist()
 
     def test_invariants_hold_every_step(self):
         ens = WalkerEnsemble.uniform(100, 6e5, 150.0, 0.03, sigma=1.0, seed=3)
