@@ -159,8 +159,8 @@ def cmd_diffuse(args, out: Path):
     sizes = network.grow_cluster(net, seeds)
 
     total = float(net.node_count)
-    params = network.fit_kernel(sizes, total)
     stats = network.growth_statistics(sizes, total)
+    params = network.fit_kernel(sizes, total, stats)
     times = args.density_times
     x_grid = np.geomspace(1.0, total - 1.0, 400)
     density = np.concatenate([network.kernel_density(params, x_grid, t) for t in times])
@@ -208,13 +208,15 @@ def cmd_forecast(args, out: Path):
     t_out = np.unique(np.concatenate([series.times, future]))
     result = forecast(series, fit, t_out, args.n_prime_factor)
 
+    rss = ((fit.exponents_at(series.times) - h) ** 2).sum(axis=0)
+
     io.write_share_series(out / "forecast.csv", result, epoch=args.epoch)
     io.write_table(out / "fit_report.csv",
                    ["component", "is_reference", "a", "a_stderr", "b", "b_stderr",
-                    "c", "c_stderr", "form"],
+                    "c", "c_stderr", "form", "rss"],
                    [series.components, (np.arange(len(series.components)) == ref).astype(int),
                     fit.a, fit.stderr[:, 0], fit.b, fit.stderr[:, 1], fit.c, fit.stderr[:, 2],
-                    [args.form] * len(series.components)])
+                    [args.form] * len(series.components), rss])
     print(f"forecast: {len(series.components)} components, "
           f"{args.horizon} months ahead -> {out}")
 

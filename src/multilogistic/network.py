@@ -444,18 +444,20 @@ def growth_statistics(sizes, total: float) -> dict:
     }
 
 
-def fit_kernel(sizes, total: float) -> DiffusionKernelParams:
+def fit_kernel(sizes, total: float, stats=None) -> DiffusionKernelParams:
     """Extract (drift, diffusion) from a (k, L) array of growth processes.
 
     The per-iteration median of y gives the drift by least squares; the
     across-process variance of y grows as 2*D*t and gives the diffusion
     coefficient by a through-origin fit. Only iterations where at least
     half of the processes, and at least 30, are interior (see
-    :func:`growth_statistics`) enter either fit.
+    :func:`growth_statistics`) enter either fit. A caller that already has
+    ``growth_statistics(sizes, total)`` passes it as ``stats``.
     """
-    stats = growth_statistics(sizes, total)
     if len(sizes) < _MIN_PROCESSES:
         raise InputDataError(f"kernel fit needs at least {_MIN_PROCESSES} processes")
+    if stats is None:
+        stats = growth_statistics(sizes, total)
     need = max(_MIN_PROCESSES, int(math.ceil(0.5 * len(sizes))))
     usable = stats["count"] >= need
     if usable.sum() < 2:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import multilogistic
-from multilogistic import io, itm
+from multilogistic import io, itm, network
 from multilogistic.cli import main
 from multilogistic.core import closed_form
 from multilogistic.errors import InputDataError
@@ -370,6 +370,15 @@ class TestNetworkCommands:
         digest = hashlib.sha256((out / "processes.csv").read_bytes()).hexdigest()
         assert digest == "33f9ae606ecff51c98f9650a3a5c298220211a70d847b10ee6bcd4135d373ee6"
 
+    def test_diffuse_takes_growth_statistics_once(self, tmp_path, monkeypatch):
+        calls = []
+        stats = network.growth_statistics
+        monkeypatch.setattr(network, "growth_statistics",
+                            lambda *args: calls.append(args) or stats(*args))
+        assert main(["diffuse", *NETWORK_SMALL, "--processes", "40",
+                     "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1
+
     def test_diffuse_too_few_processes_refused(self, tmp_path):
         assert main(["diffuse", "--seed", "11", "--nodes", "500",
                      "--max-degree", "20", "--processes", "1",
@@ -403,6 +412,45 @@ class TestForecastCommand:
         # forecast on training epoch matches the observation
         row0 = [r for r in frows if float(r[1]) == 0.0][0]
         assert float(row0[2]) == pytest.approx(50.0, abs=1e-6)
+
+    @pytest.mark.parametrize("form", ["exponential", "linear"])
+    def test_fit_report_rss(self, tmp_path, form):
+        # rss is each component's sum of squared residuals of its exponents h,
+        # 0 for the reference
+        src = tmp_path / "shares.csv"
+        write_share_csv(src, rates=(0.0, 0.1, 0.3))
+        header, rows = io.read_table(src)
+        noise = np.exp(0.01 * np.random.default_rng(4).standard_normal((len(rows), 3)))
+        noisy = np.array([[float(v) for v in r[1:]] for r in rows]) * noise
+        noisy *= 100.0 / noisy.sum(axis=1, keepdims=True)
+        io.write_table(src, header, [[r[0] for r in rows], *noisy.T])
+        out = tmp_path / "fc"
+        assert main(["forecast", "--input", str(src), "--reference", "explorer",
+                     "--epoch", "2012-03", "--horizon", "6", "--form", form,
+                     "--out", str(out)]) == 0
+        rheader, rrows = io.read_table(out / "fit_report.csv")
+        assert rheader[-1] == "rss"
+        report = {r[0]: dict(zip(rheader, r)) for r in rrows}
+        assert report["explorer"]["rss"] == "0.0"
+        series = io.read_share_csv(src, "2012-03")
+        h = multilogistic.growth_exponents(series, 0)
+        t = series.times
+        for j, name in ((1, "firefox"), (2, "chrome")):
+            a, b, c = (float(report[name][k]) for k in "abc")
+            expected = np.sum((a * np.exp(-b * t) * t + c - h[:, j]) ** 2)
+            assert float(report[name]["rss"]) == pytest.approx(expected, rel=1e-9)
+            assert 0.0 < expected < 1e-2
+
+    def test_non_settling_fit_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys.modules["multilogistic.forecast"], "_STEPS", 0)
+        src = tmp_path / "shares.csv"
+        write_share_csv(src)
+        out = tmp_path / "fc"
+        assert main(["forecast", "--input", str(src), "--reference", "firefox",
+                     "--epoch", "2012-03", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "did not settle" in err and "components [0, 2]" in err
+        assert not any(out.iterdir())
 
     def test_horizon_zero_echoes_training(self, tmp_path):
         src = tmp_path / "shares.csv"
