@@ -339,8 +339,10 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
     if len(comp_cols) < 2:
         raise InputDataError(f"{path}: need at least two component columns")
     components = tuple(names[j] for j in comp_cols)
+    parsed = []  # (line, row) of each data row read, in file order
     times = []
     shares = []
+    malformed = None
     for line, row in rows:
         if not row or all(not c.strip() for c in row):
             continue
@@ -348,15 +350,24 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
             times.append(float(_month_index(row[0]) - epoch_index))
             shares.append([float(row[j]) for j in comp_cols])
         except (ValueError, IndexError) as exc:
-            raise InputDataError(f"{path}: line {line}: bad row {row!r}") from exc
-        if not all(0.0 < v < math.inf for v in shares[-1]):
-            raise InputDataError(f"{path}: line {line}: shares must be positive and finite, "
-                                 f"got {row!r}")
-    if not times:
+            malformed = line, row, exc
+            break
+        parsed.append((line, row))
+    # the first bad line in file order is named: a bad share above a malformed row wins
+    shares = np.asarray(shares, dtype=float).reshape(len(parsed), len(comp_cols))
+    bad = np.flatnonzero(~np.all((shares > 0.0) & (shares < np.inf), axis=1))
+    if bad.size:
+        line, row = parsed[bad[0]]
+        raise InputDataError(f"{path}: line {line}: shares must be positive and finite, "
+                             f"got {row!r}")
+    if malformed is not None:
+        line, row, exc = malformed
+        raise InputDataError(f"{path}: line {line}: bad row {row!r}") from exc
+    if not parsed:
         raise InputDataError(f"{path}: no data rows")
     order = np.argsort(times)
     times = np.asarray(times, dtype=float)[order]
-    shares = np.asarray(shares, dtype=float)[order]
+    shares = shares[order]
     if renormalize:
         shares = shares * (_SHARE_TOTAL / shares.sum(axis=1, keepdims=True))
     return ShareSeries(components, times, shares, total=_SHARE_TOTAL)

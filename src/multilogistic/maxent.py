@@ -262,10 +262,11 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
 
     n is fixed to the number of entries and the floor to ``x0``; only the
     decay constant is free. Returns (lam, standard error). Log space keeps
-    the decades-spanning head and the flat tail on equal footing.
+    the decades-spanning head and the flat tail on equal footing. The fit is
+    a bracketed Newton iteration in theta = log lam on the stationarity
+    condition G = sum_k res_k J_k = 0, started at the solved lam; the
+    standard error is taken at the returned lam.
     """
-    from scipy.optimize import least_squares
-
     pops = data.populations
     if len(data) < 10:
         raise InputDataError("need at least 10 rank entries to fit")
@@ -274,52 +275,37 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     n = len(data)
     ranks = data.ranks
     log_data = np.log(pops)
-    start = solve_lambda(float(pops.sum()), n, x0).lam
-
-    history: list[float] = []
-    # least_squares takes the Jacobian at the theta whose residuals it has
-    # just taken, so each theta's model is computed once
-    models: dict[float, tuple[float, np.ndarray]] = {}
-
-    def model_at(theta):
-        key = float(theta[0])
-        if key not in models:
-            lam = float(np.exp(key))
-            models[key] = lam, analytic_rank(MaxEntModel(lam, x0, n), ranks)
-        return models[key]
-
-    def residuals(theta):
-        res = np.log(model_at(theta)[1]) - log_data
-        history.append(float(np.sum(res**2)))
-        return res
-
-    def jacobian(theta):
+    theta = math.log(solve_lambda(float(pops.sum()), n, x0).lam)
+    # G > 0 puts the minimum below theta, G < 0 above; lam stays below _Z_CAP
+    lo, hi = -math.inf, math.log(_Z_CAP)
+    for _ in range(100):
+        lam = math.exp(theta)
+        x = analytic_rank(MaxEntModel(lam, x0, n), ranks)
+        res = np.log(x) - log_data
         # x_k = x0 z_k / lam with Gamma(0, z_k) = Gamma(0, lam) r_k / n, so
-        # d log x_k / d log lam = (r_k / n) exp(z_k - lam) - 1
-        lam, x = model_at(theta)
-        return ((ranks / n) * np.exp(lam * (x / x0 - 1.0)) - 1.0)[:, None]
-
-    sol = least_squares(residuals, x0=[math.log(start)], jac=jacobian, method="lm",
-                        xtol=1e-14)
-    if not sol.success:
-        raise NumericsError(
-            f"rank-law fit did not converge; residual history tail {history[-5:]}"
-        )
-    # The cost is flat to rounding near its minimum, so the fit can stop about
-    # 1e-9 short in log lam. One Newton step on the stationarity condition
-    # sum_k res_k J_k = 0, whose value is accurate to rounding, resolves it.
-    # With e = J + 1 and z = lam x / x0: dJ_k / d log lam = e_k (e_k z_k - lam).
-    lam = float(np.exp(sol.x[0]))
-    jac = sol.jac[:, 0]
-    jtj = float(jac @ jac)
-    e = jac + 1.0
-    z = lam * np.exp(log_data + sol.fun) / x0
-    curvature = jtj + float(sol.fun @ (e * (e * z - lam)))
+        # J_k = d log x_k / d log lam = e_k - 1 with e_k = (r_k / n) exp(z_k - lam),
+        # and dJ_k / d log lam = e_k (e_k z_k - lam)
+        ratio = x / x0
+        e = (ranks / n) * np.exp(lam * (ratio - 1.0))
+        jac = e - 1.0
+        grad, jtj = float(res @ jac), float(jac @ jac)
+        curvature = jtj + float(res @ (e * (e * (lam * ratio) - lam)))
+        step = -grad / (curvature if curvature > 0.0 else jtj)
+        tol = 1e-15 * max(abs(theta), 1.0)
+        if abs(step) <= tol:
+            break
+        lo, hi = (lo, theta) if grad > 0.0 else (theta, hi)
+        if hi - lo <= tol:  # G's rounding noise outweighs the step where lam is large
+            break
+        # until a lam below the minimum is known, a step down is at most 1 in log lam
+        theta_new = theta + (max(step, -1.0) if lo == -math.inf else step)
+        theta = theta_new if lo < theta_new < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericsError("rank-law fit did not converge in 100 Newton steps; "
+                            f"last lam {lam!r}, G {grad:.3g}")
     if not curvature > 0.0:
         raise NumericsError(f"rank-law fit ended off a minimum (curvature {curvature:.3g})")
-    lam = float(np.exp(sol.x[0] - sol.grad[0] / curvature))
-    dof = max(n - 1, 1)
-    s2 = 2.0 * sol.cost / dof
+    s2 = float(res @ res) / max(n - 1, 1)
     stderr_theta = math.sqrt(s2 / jtj) if jtj > 0.0 else float("inf")
     return lam, lam * stderr_theta
 

@@ -259,17 +259,6 @@ class TestForecast:
         expected = sigmoid(LogisticParams(k, 100.0, 30.0), horizon)
         np.testing.assert_allclose(out.shares[:, 1], expected, rtol=1e-7)
 
-    def test_linear_forecast_independent_of_reference(self):
-        # rate differences are all the data holds: the exact linear solve gives
-        # the same forecast from every reference, up to rounding
-        series, _, _ = damped_share_series(np.random.default_rng(1), months=48, comps=4)
-        horizon = np.arange(1.0, 61.0)
-        outs = [forecast(series, fit_rates(series.times, growth_exponents(series, ref), ref,
-                                           form="linear"), horizon).shares
-                for ref in range(4)]
-        for out in outs[1:]:
-            np.testing.assert_allclose(out, outs[0], rtol=1e-12)
-
     def test_reference_change_invariance_constant_rates(self):
         series = constant_rate_series()
         horizon = np.arange(1.0, 25.0)

@@ -637,6 +637,10 @@ class TestBadInput:
          "shares_nan.csv: line 3"),
         (["forecast", "--input", "{shares_inf}", "--reference", "explorer", "--epoch", "2012-03"],
          "shares_inf.csv: line 3"),
+        # a bad share on line 3 is named before the malformed row on line 4
+        (["forecast", "--input", "{shares_nan_then_malformed}", "--reference", "explorer",
+          "--epoch", "2012-03"],
+         "shares_nan_then_malformed.csv: line 3: shares must be positive"),
         # the shares are valid: the scaled total overflows or is subnormal
         *[(["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
             "--n-prime-factor", factor], "n_prime_factor") for factor in ("inf", "1e307", "5e-324")],
@@ -665,7 +669,8 @@ class TestBadInput:
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
             "forecast-epoch-text", "forecast-horizon-negative", "forecast-share-nan",
-            "forecast-share-inf", "forecast-n-prime-factor-inf",
+            "forecast-share-inf", "forecast-share-nan-then-malformed",
+            "forecast-n-prime-factor-inf",
             "forecast-n-prime-factor-huge", "forecast-n-prime-factor-subnormal", "out-existing-file",
             "rankfit-input-directory", "forecast-input-directory", "itm-matrix-directory",
             "diffuse-edges-directory", "itm-matrix-missing", "diffuse-edges-missing",
@@ -703,6 +708,9 @@ class TestBadInput:
         for value in ("nan", "inf"):
             (tmp_path / f"shares_{value}.csv").write_text(
                 "".join([header, first, ",".join([date, value, *others]), *rest]))
+        (tmp_path / "shares_nan_then_malformed.csv").write_text(
+            "".join([header, first, ",".join([date, "nan", *others]), "2012-xx,1,2,3\n",
+                     *rest[1:]]))
         # 0x80, in the first line, cannot start a UTF-8 character
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\x7fELF" + bytes(range(256)))
@@ -714,6 +722,7 @@ class TestBadInput:
                          underscore=underscore, quoted=quoted, shares=shares,
                          shares_nan=tmp_path / "shares_nan.csv",
                          shares_inf=tmp_path / "shares_inf.csv",
+                         shares_nan_then_malformed=tmp_path / "shares_nan_then_malformed.csv",
                          directory=tmp_path, missing=tmp_path / "missing.csv", binary=binary)
                 for a in argv]
         out = tmp_path / "out"

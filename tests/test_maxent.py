@@ -230,8 +230,8 @@ class TestFitLambda:
         assert max(lams) - min(lams) < 1e-12 * lams[1]
 
     def test_each_lambda_modelled_once(self, monkeypatch):
-        # least_squares takes the Jacobian where it has just taken the
-        # residuals; the rank law is computed once per distinct lambda
+        # each Newton iterate's residuals, Jacobian and curvature come from one
+        # evaluation of the rank law: it is computed once per distinct lambda
         model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
         clean = analytic_rank(model, np.arange(1, 1001.0))
         noisy = clean * (1.0 + 0.05 * np.random.default_rng(3).standard_normal(1000))
@@ -246,6 +246,34 @@ class TestFitLambda:
         fit_lambda(data, REF_X0)
         assert len(lams) >= 2
         assert len(lams) == len(set(lams))
+
+    def test_reaches_the_stationary_point_from_a_far_start(self):
+        # the rankfit input of CI with its default --drop-top 4: the fit lands
+        # 5x above the solved lambda it starts from, and the stationarity
+        # condition G = sum_k res_k J_k changes sign across it
+        pops = 150.0 * np.exp(np.random.default_rng(1).exponential(2.0, 300))
+        kept, _, _ = filter_populations(pops, 150.0, drop_top=4)
+        data = RankDistribution(kept)
+        n = len(data)
+        lam, _ = fit_lambda(data, 150.0)
+        assert solve_lambda(float(kept.sum()), n, 150.0).lam == pytest.approx(0.00305, rel=1e-3)
+        assert lam == pytest.approx(0.01533, rel=1e-3)
+
+        def stationarity(lam):
+            x = analytic_rank(MaxEntModel(lam, 150.0, n), data.ranks)
+            jac = data.ranks / n * np.exp(lam * (x / 150.0 - 1.0)) - 1.0
+            return float((np.log(x) - np.log(kept)) @ jac)
+
+        assert stationarity(lam * (1.0 - 1e-12)) < 0.0 < stationarity(lam * (1.0 + 1e-12))
+
+    def test_stops_where_rounding_outweighs_the_step(self):
+        # 60 places within 0.5 % of the floor put lam near 474, where the
+        # rounding noise of G alone gives steps of about 3e-12 in log lam: the
+        # fit stops once the bracket in log lam is 1e-15 |log lam| wide
+        pops = 150.0 * (1.0 + 0.005 * np.random.default_rng(0).uniform(size=60))
+        lam, stderr = fit_lambda(RankDistribution.from_sample(pops), 150.0)
+        assert lam == pytest.approx(474.0858678, rel=1e-9)
+        assert stderr == pytest.approx(23.287, rel=1e-4)
 
     def test_requires_enough_entries(self):
         with pytest.raises(InputDataError):
