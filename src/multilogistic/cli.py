@@ -65,6 +65,8 @@ def cmd_walkers(args, out: Path):
         "accepted_moves": stats.accepted_moves,
         "mover_rejections": stats.mover_rejections,
         "rescale_rejections": stats.rescale_rejections,
+        "bound_settled_steps": stats.bound_settled_steps,
+        "fixed_point_rounds": stats.fixed_point_rounds,
         "lambda_analytic": model.lam,
         "corr_coeff": stats.corr_coeff,
         "ks_distance": ks,

@@ -43,9 +43,9 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
     model that draws them (``walkers`` uses exp(dt*(drift_i + sigma_i*xi))).
     The global rescale that keeps sum(x) = total is applied immediately, and
     the whole move is rejected if it would leave the mover or any other
-    walker below the floor. Sequential moves with whole-move rejection
-    sample the flat measure on the constraint surface, so the ensemble
-    equilibrates to the analytic rank law.
+    walker below the (positive) floor. Sequential moves with whole-move
+    rejection sample the flat measure on the constraint surface, so the
+    ensemble equilibrates to the analytic rank law.
 
     The moves stay sequential, but each step is solved in whole-array numpy
     passes. With the stored values a, the proposals b and d = b - a, the
@@ -54,22 +54,35 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
     is rejected if b_k*m_k < floor, or if d_k > 0 and the smallest other
     stored value times m_k is below the floor. Decision k depends only on
     the decisions before it, so the step's decision vector is the unique
-    fixed point of that map. Iteration starts from the guess that accepts
-    every move whose mover stays above the floor when all moves are
-    accepted; when that guess accepts every move, the first round reuses
-    its sums and rescales instead of taking them again. Each round settles
-    at least one more leading decision and the iteration stops within
-    n + 1 rounds (the Jacobi iteration of Song et al., "Accelerating
-    Feedforward Computation via Parallel Nonlinear Equation Solving", ICML
-    2021). The ``cumsum`` rounds differently from a running product, so the
-    states differ from a one-move-at-a-time loop in the last bits only.
-    Rounds grow as the ensemble packs against the floor (total/(n*floor)
-    near 1), where upward moves wait for room made by the moves before them.
+    fixed point of that map.
 
-    ``counts`` is a caller-owned int64 array of three; each call adds the
+    A step first takes the sums of accepting every move: one ``cumsum`` of
+    the stored sum and every d_k, whose entry k + 1 is that step's S_k. Every
+    value a floor check multiplies by m_k is an a_j or a b_j, IEEE
+    multiplication and division of positive values are monotone, and the
+    smallest rescale is total / max S. So when min a and min b, each times
+    total / max S, reach the floor (and every S_k is positive with a finite
+    rescale), every check passes: accepting every move is the fixed point,
+    and the step ends with the new state b * total / S_{n-1}, the arithmetic
+    of an all-accepted fixed-point step, in eight numpy calls. The next min a
+    is then min b times the same factor, with no pass. A nan or inf fails
+    that test and takes the full path. Otherwise the iteration starts from
+    the guess that accepts every move whose mover stays above the floor at
+    the rescales of those sums; when that guess accepts every move, the
+    first round reuses them instead of taking them again. Each round settles
+    at least one more leading decision and the iteration stops within n + 1
+    rounds (the Jacobi iteration of Song et al., "Accelerating Feedforward
+    Computation via Parallel Nonlinear Equation Solving", ICML 2021). The
+    ``cumsum`` rounds differently from a running product, so the states
+    differ from a one-move-at-a-time loop in the last bits only. Rounds grow
+    as the ensemble packs against the floor (total/(n*floor) near 1), where
+    upward moves wait for room made by the moves before them.
+
+    ``counts`` is a caller-owned int64 array of five; each call adds the
     moves accepted, the moves rejected because the mover would sink below
-    the floor, and those rejected because the rescale would sink the
-    smallest other walker.
+    the floor, those rejected because the rescale would sink the smallest
+    other walker, the steps settled by the bound, and the fixed-point rounds
+    of the other steps.
 
     ``x`` is updated in place. Returns -1 on success, else the index of the
     first step whose stored sum S_k is not positive and finite; ``x`` is then
@@ -86,30 +99,45 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
     b = np.empty(n)             # the proposals
     m = np.empty(n)             # the rescale after move k
     check = np.empty(n)         # the smallest value move k leaves, times m_k
-    d, before_k, later = proposed[1:], prior[:n], x[:0:-1]
-    accepted = sinks = squeezes = 0
+    # S_k of accepting every move, prior[k] + d_k, is the accumulated prior[k + 1]
+    d, before_k, sums, later = proposed[1:], prior[:n], prior[1:], x[:0:-1]
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
+    x_min = minimum(x)
+    accepted = sinks = squeezes = settled = rounds = 0
     try:
         # a step that overflows passes inf and nan on to the failure it returns
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(kicks.shape[0]):
                 np.multiply(x, kicks[s], out=b)
                 np.subtract(b, x, out=d)
+                proposed[0] = taken[0] = np.add.reduce(x)
+                np.add.accumulate(proposed, out=prior)
+                s_lo, s_hi = minimum(sums), maximum(sums)
+                # every rescale total/S_k is at least m_min; a nan fails every
+                # comparison, so each minimum is compared on its own
+                if (s_lo > 0.0 and total / s_lo < np.inf
+                        and x_min * (m_min := total / s_hi) >= floor
+                        and (b_min := minimum(b)) * m_min >= floor):
+                    scale = total / prior[n]
+                    np.multiply(b, scale, out=x)
+                    x_min = b_min * scale  # the same bits as minimum(x)
+                    accepted += n
+                    settled += 1
+                    continue
+                np.divide(total, sums, out=m)
                 # a growing move shrinks every other walker, so its check covers
                 # the smallest of them too; a shrinking move only risks the mover
                 cap = np.where(d > 0.0, -np.inf, np.inf)
                 np.minimum.accumulate(later, out=after[-2::-1])
                 bound = np.minimum(b, np.maximum(after, cap))
-                proposed[0] = taken[0] = x.sum()
                 # first guess: accept every move whose mover stays above the floor
                 # when all moves are accepted
-                np.add.accumulate(proposed, out=prior)
-                np.add(before_k, d, out=m)
-                np.divide(total, m, out=m)
                 np.multiply(b, m, out=check)
                 acc = check >= floor
                 # a guess that accepts every move has taken round one's sums already
                 stored = b if np.count_nonzero(acc) == n else None
                 while True:
+                    rounds += 1
                     if stored is None:
                         np.multiply(d, acc, out=taken[1:])
                         np.add.accumulate(taken, out=prior)
@@ -124,9 +152,10 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
                     if not np.count_nonzero(acc ^ guess):
                         break
                     stored = None
-                if not (np.minimum.reduce(m) > 0.0 and np.maximum.reduce(m) < np.inf):
+                if not (minimum(m) > 0.0 and maximum(m) < np.inf):
                     return s
                 np.multiply(stored, total / prior[n], out=x)
+                x_min = minimum(x)
                 kept = int(np.count_nonzero(acc))
                 # an accepted mover stays above the floor, so sinks need a rejection
                 sunk = int(np.count_nonzero(b * m < floor)) if kept < n else 0
@@ -135,7 +164,7 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
                 squeezes += n - kept - sunk
         return -1
     finally:
-        counts += (accepted, sinks, squeezes)
+        counts += (accepted, sinks, squeezes, settled, rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ rate is ``lam / x0``. With this convention the mean-value constraint reads
 and the solved values for city-population data land in the 5e-3 range.
 
 Gamma(0, z) is scipy's compiled exponential integral ``scipy.special.exp1``;
-its inverse is a safeguarded Newton iteration that runs on whole arrays.
+its inverse is a safeguarded Newton iteration that runs on whole arrays. Its
+bracket needs no search: Gamma(0, z) < exp(-z) ln(1 + 1/z) < exp(-z)/z
+(Abramowitz & Stegun 5.1.20), so Gamma(0, max(1, -log g)) < g.
 """
 
 import math
@@ -84,15 +86,14 @@ def gamma0_inverse(g):
             "double precision"
         )
     gv = arr.ravel()
-    # bracket [lo, hi] with gamma0(lo) > g > gamma0(hi)
-    lo = np.full(gv.shape, _Z_MIN)
-    hi = np.ones(gv.shape)
-    grow = exp1(hi) > gv
-    while grow.any():
-        hi[grow] *= 2.0
-        grow &= (hi <= 745.0) & (exp1(hi) > gv)
-    # initial guess from the two asymptotic branches
     neglog = -np.log(gv)
+    # bracket [lo, hi] with gamma0(lo) > g > gamma0(hi). For -log g > 1,
+    # A&S 5.1.20 gives gamma0(-log g) < g/(-log g) < g, and gamma0(z) exp(z)
+    # stays below ln 2 there, far from what rounding log g can close; for
+    # g >= 1/e, gamma0(1) = 0.219 < g
+    lo = np.full(gv.shape, _Z_MIN)
+    hi = np.maximum(neglog, 1.0)
+    # initial guess from the two asymptotic branches
     z = np.where(gv > 0.6, np.exp(-_EULER_GAMMA - gv),
                  np.maximum(1e-12, neglog - np.log(np.maximum(neglog, 1.5))))
     z = np.minimum(np.maximum(z, 2.0 * _Z_MIN), hi)

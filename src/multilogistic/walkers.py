@@ -10,7 +10,8 @@ The ensemble owns the noise model: it draws the normals a block of steps at
 a time and turns them into the move factors exp(dt*(drift_i + sigma_i*xi))
 in place, in the same buffer. The kernel, :func:`.kernels.advance_walkers_seq`,
 only steps on those factors: it keeps the sequential rule but solves each
-step's accept/reject decisions together in numpy, as a fixed point.
+step's accept/reject decisions together in numpy, as a fixed point, unless
+a bound on the floor checks already shows every move accepted.
 
 A single ensemble mutates its own state and is not thread-safe; independent
 ensembles (distinct seeds) can run in parallel freely. The noise stream
@@ -37,7 +38,7 @@ _CHUNK_VALUES = 1 << 18  # normals drawn at once: 2 MiB of doubles, whatever n i
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Summary of an equilibrated run; the move counts cover every step."""
+    """Summary of an equilibrated run; the move and step counts cover every step."""
 
     rank_table: RankDistribution
     corr_coeff: float
@@ -45,6 +46,8 @@ class EnsembleStats:
     accepted_moves: int
     mover_rejections: int    # the mover would have sunk below the floor
     rescale_rejections: int  # the rescale would have sunk the smallest other walker
+    bound_settled_steps: int  # steps whose every move a bound showed accepted
+    fixed_point_rounds: int  # rounds taken by the other steps, summed
 
 
 class WalkerEnsemble:
@@ -87,8 +90,9 @@ class WalkerEnsemble:
         if np.any(self.x < self.floor * (1.0 - 1e-12)):
             raise InputDataError("initial populations infeasible after normalization")
         self.step_count = 0
-        # accepted moves, mover rejections, rescale rejections
-        self.move_counts = np.zeros(3, dtype=np.int64)
+        # accepted moves, mover rejections, rescale rejections, steps settled
+        # by the kernel's bound, fixed-point rounds of the other steps
+        self.move_counts = np.zeros(5, dtype=np.int64)
 
     @classmethod
     def uniform(cls, n, total, floor, dt, sigma, drift=0.0, seed=0):

@@ -262,6 +262,9 @@ class TestWalkersCommand:
         moves = [int(diag[k]) for k in
                  ("accepted_moves", "mover_rejections", "rescale_rejections")]
         assert sum(moves) == int(diag["steps"]) * 60
+        settled = int(diag["bound_settled_steps"])
+        assert 0 <= settled <= int(diag["steps"])
+        assert int(diag["fixed_point_rounds"]) >= int(diag["steps"]) - settled
 
     def test_single_walker_rejected(self, tmp_path):
         code = main(["walkers", "--seed", "1", "--n", "1",

@@ -140,11 +140,13 @@ def _assert_agrees(setup):
     x, kicks, total, floor = setup
     a, b = x.copy(), x.copy()
     want = np.zeros(3, dtype=np.int64)
-    got = np.zeros(3, dtype=np.int64)
+    got = np.zeros(5, dtype=np.int64)
     assert _reference_walkers_seq(a, kicks, total, floor, want) == -1
     assert kernels.advance_walkers_seq(b, kicks, total, floor, got) == -1
-    assert got.tolist() == want.tolist()
+    assert got[:3].tolist() == want.tolist()
     assert want.sum() == kicks.size  # every move is counted once
+    # a step the bound does not settle takes at least one round
+    assert 0 <= got[3] <= kicks.shape[0] and got[4] >= kicks.shape[0] - got[3]
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
     return want
 
@@ -170,11 +172,63 @@ class TestDispatch:
         kicks[97, 31] = np.nan
         a, b = x.copy(), x.copy()
         want = np.zeros(3, dtype=np.int64)
-        got = np.zeros(3, dtype=np.int64)
+        got = np.zeros(5, dtype=np.int64)
         assert _reference_walkers_seq(a, kicks[:97], total, floor, want) == -1
         assert kernels.advance_walkers_seq(b, kicks, total, floor, got) == 97
-        assert got.tolist() == want.tolist()
+        assert got[:3].tolist() == want.tolist()
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+    def test_inf_kick_reports_step_index(self, walker_setup):
+        # an overflowing move factor makes the later rescales 0: the bound
+        # test fails, and the full path reports the step
+        x, kicks, total, floor = walker_setup
+        kicks[97, 31] = np.inf
+        a, b = x.copy(), x.copy()
+        want = np.zeros(3, dtype=np.int64)
+        got = np.zeros(5, dtype=np.int64)
+        assert _reference_walkers_seq(a, kicks[:97], total, floor, want) == -1
+        assert kernels.advance_walkers_seq(b, kicks, total, floor, got) == 97
+        assert got[:3].tolist() == want.tolist()
+        assert got[3] == 97  # every step before it was settled by the bound
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+
+class TestFloorBound:
+    # Two walkers, exact in binary: walker 0 grows from 6 to 9 and walker 1
+    # (the smallest) keeps 2, so both rescales are 8/11 and the squeeze check
+    # on walker 1 multiplies exactly the bound's product 2 * fl(8/11).
+    x = np.array([6.0, 2.0])
+    kicks = np.array([[1.5, 1.0]])
+    total = 8.0
+    product = 2.0 * (8.0 / 11.0)
+
+    def _run(self, floor):
+        a, b = self.x.copy(), self.x.copy()
+        want = np.zeros(3, dtype=np.int64)
+        got = np.zeros(5, dtype=np.int64)
+        assert _reference_walkers_seq(a, self.kicks, self.total, floor, want) == -1
+        assert kernels.advance_walkers_seq(b, self.kicks, self.total, floor, got) == -1
+        assert got[:3].tolist() == want.tolist()
+        assert np.array_equal(b, a)
+        return got
+
+    def test_product_on_the_floor_settles_the_step(self):
+        got = self._run(self.product)
+        assert got.tolist() == [2, 0, 0, 1, 0]
+
+    def test_product_one_ulp_below_the_floor_takes_the_fixed_point(self):
+        got = self._run(np.nextafter(self.product, np.inf))
+        # walker 0's growth would squeeze walker 1 below the floor
+        assert got[:4].tolist() == [1, 0, 1, 0] and got[4] > 0
+
+    def test_settled_step_is_every_move_accepted(self, walker_setup):
+        x, kicks, total, floor = walker_setup
+        b = x * kicks[0]
+        settled = b * (total / np.cumsum(np.concatenate(([x.sum()], b - x)))[-1])
+        got = np.zeros(5, dtype=np.int64)
+        assert kernels.advance_walkers_seq(x, kicks[:1], total, floor, got) == -1
+        assert got.tolist() == [x.size, 0, 0, 1, 0]
+        assert np.array_equal(x, settled)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,27 @@ class TestGamma0Inverse:
             with pytest.raises(InputDataError):
                 gamma0_inverse(np.array([0.5, bad, 2.0]))
 
+    def test_closed_form_bracket_over_the_whole_range(self):
+        from scipy.special import exp1
+
+        e = math.exp(-1.0)
+        g = np.concatenate((np.geomspace(1e-305, maxent._G_MAX, 2000),
+                            [exp1(1.0), np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]))
+        # the bracket's top end, max(1, -log g): gamma0 is below g there
+        assert np.all(exp1(np.maximum(-np.log(g), 1.0)) <= g)
+        z = gamma0_inverse(g)
+        assert np.all(np.abs(exp1(z) - g) <= 1e-12 * g)
+
+    def test_range_error_messages(self):
+        with pytest.raises(InputDataError, match=r"^gamma0_inverse requires g > 0$"):
+            gamma0_inverse(-1.0)
+        with pytest.raises(NumericsError,
+                           match=r"^gamma0_inverse argument underflows double precision$"):
+            gamma0_inverse(np.array([0.5, 1e-306]))
+        with pytest.raises(NumericsError, match=r"^gamma0_inverse argument above 690\.198: "
+                                                r"its root underflows double precision$"):
+            gamma0_inverse(np.array([0.5, 691.0]))
+
 
 class TestSolveLambda:
     def test_reference_configuration_value(self):

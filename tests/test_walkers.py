@@ -34,7 +34,7 @@ class TestStep:
         sigma, drift = rng.uniform(0.0, 2.0, n), rng.normal(0.0, 0.5, n)
         ens = WalkerEnsemble(rng.uniform(200.0, 2e3, n), n * 900.0, 150.0, dt,
                              sigma=sigma, drift=drift, seed=21)
-        x, counts = ens.populations, np.zeros(3, dtype=np.int64)
+        x, counts = ens.populations, np.zeros(5, dtype=np.int64)
         xi = np.random.Generator(np.random.Philox(21)).standard_normal((300, n))
         kicks = np.exp(dt * (drift + sigma * xi))
         assert kernels.advance_walkers_seq(x, kicks, ens.total, ens.floor, counts) == -1
@@ -137,6 +137,15 @@ class TestRunToEquilibrium:
         counts = (stats.accepted_moves, stats.mover_rejections, stats.rescale_rejections)
         assert sum(counts) == stats.step_count * ens.n
         assert stats.accepted_moves > 0
+
+    def test_step_counts_cover_every_step(self):
+        # packing 1.5: the bound settles some steps, the fixed point the rest
+        ens = WalkerEnsemble.uniform(40, 9e3, 150.0, 0.03, sigma=1.0, seed=10)
+        stats = ens.run_to_equilibrium(100, 5, 4)
+        assert 0 < stats.bound_settled_steps < stats.step_count
+        assert stats.fixed_point_rounds >= stats.step_count - stats.bound_settled_steps
+        assert ens.move_counts[3:].tolist() == [stats.bound_settled_steps,
+                                                stats.fixed_point_rounds]
 
 
 class TestScaleInvarianceCorr:
