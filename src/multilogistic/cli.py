@@ -275,6 +275,14 @@ def cmd_itm(args, out: Path):
 # ---------------------------------------------------------------------------
 
 
+def _number_list(text: str) -> list:
+    """Parse ``--density-times``: numbers separated by commas."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multilogistic",
@@ -316,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--processes", type=int, default=500)
     p.add_argument("--edges", default=None, help="load this edge CSV instead of generating")
-    p.add_argument("--density-times", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[1.0, 3.0, 6.0])
+    p.add_argument("--density-times", type=_number_list, default=[1.0, 3.0, 6.0])
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("forecast", help="fit growth exponents and extrapolate shares")

@@ -68,15 +68,14 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
     is then min b times the same factor, with no pass. A nan or inf fails
     that test and takes the full path. Otherwise the iteration starts from
     the guess that accepts every move whose mover stays above the floor at
-    the rescales of those sums; when that guess accepts every move, the
-    first round reuses them instead of taking them again. Each round settles
-    at least one more leading decision and the iteration stops within n + 1
-    rounds (the Jacobi iteration of Song et al., "Accelerating Feedforward
-    Computation via Parallel Nonlinear Equation Solving", ICML 2021). The
-    ``cumsum`` rounds differently from a running product, so the states
-    differ from a one-move-at-a-time loop in the last bits only. Rounds grow
-    as the ensemble packs against the floor (total/(n*floor) near 1), where
-    upward moves wait for room made by the moves before them.
+    the rescales of those sums, and every round takes its own sums. Each
+    round settles at least one more leading decision and the iteration stops
+    within n + 1 rounds (the Jacobi iteration of Song et al., "Accelerating
+    Feedforward Computation via Parallel Nonlinear Equation Solving", ICML
+    2021). The ``cumsum`` rounds differently from a running product, so the
+    states differ from a one-move-at-a-time loop in the last bits only.
+    Rounds grow as the ensemble packs against the floor (total/(n*floor)
+    near 1), where upward moves wait for room made by the moves before them.
 
     ``counts`` is a caller-owned int64 array of five; each call adds the
     moves accepted, the moves rejected because the mover would sink below
@@ -134,16 +133,13 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
                 # when all moves are accepted
                 np.multiply(b, m, out=check)
                 acc = check >= floor
-                # a guess that accepts every move has taken round one's sums already
-                stored = b if np.count_nonzero(acc) == n else None
                 while True:
                     rounds += 1
-                    if stored is None:
-                        np.multiply(d, acc, out=taken[1:])
-                        np.add.accumulate(taken, out=prior)
-                        np.add(before_k, d, out=m)
-                        np.divide(total, m, out=m)
-                        stored = np.where(acc, b, x)
+                    np.multiply(d, acc, out=taken[1:])
+                    np.add.accumulate(taken, out=prior)
+                    np.add(before_k, d, out=m)
+                    np.divide(total, m, out=m)
+                    stored = np.where(acc, b, x)
                     np.minimum.accumulate(stored[:-1], out=low[1:])
                     np.maximum(low, cap, out=check)
                     np.minimum(bound, check, out=check)
@@ -151,7 +147,6 @@ def advance_walkers_seq(x, kicks, total, floor, counts):
                     guess, acc = acc, check >= floor
                     if not np.count_nonzero(acc ^ guess):
                         break
-                    stored = None
                 if not (minimum(m) > 0.0 and maximum(m) < np.inf):
                     return s
                 np.multiply(stored, total / prior[n], out=x)

@@ -17,9 +17,11 @@ rate is ``lam / x0``. With this convention the mean-value constraint reads
 and the solved values for city-population data land in the 5e-3 range.
 
 Gamma(0, z) is scipy's compiled exponential integral ``scipy.special.exp1``;
-its inverse is a safeguarded Newton iteration that runs on whole arrays. Its
-bracket needs no search: Gamma(0, z) < exp(-z) ln(1 + 1/z) < exp(-z)/z
-(Abramowitz & Stegun 5.1.20), so Gamma(0, max(1, -log g)) < g.
+its inverse is a plain Newton iteration in w = log z that runs on whole
+arrays and needs no bracket. F(w) = Gamma(0, e^w) - g has F' = -exp(-z) < 0
+and F'' = z exp(-z) > 0, so every tangent of F lies below F: from a start
+left of the root each step stays left of it and rises towards it, and from
+a start right of it one step lands left of it.
 """
 
 import math
@@ -47,7 +49,7 @@ _EULER_GAMMA = 0.5772156649015328606065120900824024
 _Z_CAP = 700.0  # beyond this exp(-z) leaves the normal double range
 
 
-_Z_MIN = 1e-300  # lower end of the inverse's bracket
+_Z_MIN = 1e-300  # floor of the inverse's domain: smaller roots are not solved
 _G_MAX = 690.1983122333121  # Gamma(0, _Z_MIN): larger g has its root below _Z_MIN
 
 
@@ -66,12 +68,15 @@ def gamma0(z):
 
 
 def gamma0_inverse(g):
-    """Solve Gamma(0, z) = g for z > 0 (safeguarded Newton in log z).
+    """Solve Gamma(0, z) = g for z > 0 (Newton in log z).
 
     Gamma(0, .) decreases monotonically from +inf to 0, so the inverse is
     unique. Residual is driven below 1e-12 relative to ``g``. Accepts a
-    scalar (returns a float) or an array; every element is solved at once,
-    each with its own bracket.
+    scalar (returns a float) or an array; every element is solved at once.
+    Newton needs no bracket: Gamma(0, e^w) is decreasing and convex in
+    w = log z, so one step from any start lands left of the root and the
+    steps after it rise to the root without passing it. An element whose
+    step moves z by at most 1e-15 relative (rounding) ends after that step.
     """
     from scipy.special import exp1
 
@@ -87,37 +92,23 @@ def gamma0_inverse(g):
         )
     gv = arr.ravel()
     neglog = -np.log(gv)
-    # bracket [lo, hi] with gamma0(lo) > g > gamma0(hi). For -log g > 1,
-    # A&S 5.1.20 gives gamma0(-log g) < g/(-log g) < g, and gamma0(z) exp(z)
-    # stays below ln 2 there, far from what rounding log g can close; for
-    # g >= 1/e, gamma0(1) = 0.219 < g
-    lo = np.full(gv.shape, _Z_MIN)
-    hi = np.maximum(neglog, 1.0)
-    # initial guess from the two asymptotic branches
+    # initial guess from the two asymptotic branches; for g <= 0.6 it is above 0.1
     z = np.where(gv > 0.6, np.exp(-_EULER_GAMMA - gv),
-                 np.maximum(1e-12, neglog - np.log(np.maximum(neglog, 1.5))))
-    z = np.minimum(np.maximum(z, 2.0 * _Z_MIN), hi)
+                 neglog - np.log(np.maximum(neglog, 1.5)))
 
     out = np.empty(gv.shape)
     todo = np.arange(gv.size)
     for _ in range(200):
         f = exp1(z) - gv
-        above = f > 0.0
-        lo = np.where(above, z, lo)
-        hi = np.where(above, hi, z)
         # Newton step in w = log z: dE1/dw = -exp(-z)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = np.where(z < _Z_CAP, f / np.exp(-z), 0.0)
-            z_new = np.exp(np.log(z) + step)
-        outside = ~((lo < z_new) & (z_new < hi))
-        # bisect in log space; sqrt of each end keeps the product from underflowing
-        z_new[outside] = np.sqrt(lo[outside]) * np.sqrt(hi[outside])
+            z_new = np.exp(np.log(z) + f / np.exp(-z))
         converged = np.abs(f) <= 1e-12 * gv
         stalled = ~converged & (np.abs(z_new - z) <= 1e-15 * z)
         out[todo[converged]] = z[converged]
         out[todo[stalled]] = z_new[stalled]
         keep = ~(converged | stalled)
-        todo, gv, z, lo, hi = todo[keep], gv[keep], z_new[keep], lo[keep], hi[keep]
+        todo, gv, z = todo[keep], gv[keep], z_new[keep]
         if not todo.size:
             break
     else:

@@ -12,7 +12,7 @@ import pytest
 
 import multilogistic
 from multilogistic import io, itm, network
-from multilogistic.cli import main
+from multilogistic.cli import build_parser, main
 from multilogistic.core import closed_form
 from multilogistic.errors import InputDataError
 from multilogistic.maxent import analytic_rank, solve_lambda
@@ -737,6 +737,19 @@ class TestBadInput:
         # rejected before any work: nothing written
         assert not out.exists() or not any(out.iterdir())
         assert shares.read_bytes() == shares_bytes
+
+    def test_density_times_must_be_numbers(self, tmp_path, capsys):
+        # argparse rejects the list itself, naming the option and what it expects
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["diffuse", *NETWORK_SMALL, "--density-times", "1,x", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--density-times" in err and "comma-separated numbers" in err
+        assert "<lambda>" not in err
+        assert not out.exists()
+        args = build_parser().parse_args(["diffuse", "--seed", "1", "--density-times", "1,2.5"])
+        assert args.density_times == [1.0, 2.5]
 
 
 # every numeric option of every subcommand, each on a tiny base configuration

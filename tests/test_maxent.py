@@ -85,7 +85,7 @@ class TestGamma0Inverse:
     def test_inverse_of_oracle_value(self):
         assert gamma0_inverse(0.219383934395520274) == pytest.approx(1.0, rel=1e-9)
 
-    def test_upper_limit_is_gamma0_of_bracket_floor(self):
+    def test_upper_limit_is_gamma0_of_domain_floor(self):
         # the literal stands in for scipy's value, so importing maxent loads no scipy
         from scipy.special import exp1
 
@@ -101,16 +101,27 @@ class TestGamma0Inverse:
             with pytest.raises(InputDataError):
                 gamma0_inverse(np.array([0.5, bad, 2.0]))
 
-    def test_closed_form_bracket_over_the_whole_range(self):
-        from scipy.special import exp1
+    @pytest.mark.filterwarnings("error")
+    def test_newton_settles_over_the_whole_domain(self, monkeypatch):
+        # unbracketed Newton from the asymptotic start: no warning, the 1e-12
+        # residual everywhere, and at most 6 exp1 passes over the array
+        import scipy.special
+
+        exp1 = scipy.special.exp1
+        passes = []
+
+        def counted(z):
+            passes.append(np.size(z))
+            return exp1(z)
 
         e = math.exp(-1.0)
         g = np.concatenate((np.geomspace(1e-305, maxent._G_MAX, 2000),
                             [exp1(1.0), np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]))
-        # the bracket's top end, max(1, -log g): gamma0 is below g there
-        assert np.all(exp1(np.maximum(-np.log(g), 1.0)) <= g)
+        monkeypatch.setattr(scipy.special, "exp1", counted)
         z = gamma0_inverse(g)
+        monkeypatch.undo()
         assert np.all(np.abs(exp1(z) - g) <= 1e-12 * g)
+        assert 0 < len(passes) <= 6
 
     def test_range_error_messages(self):
         with pytest.raises(InputDataError, match=r"^gamma0_inverse requires g > 0$"):

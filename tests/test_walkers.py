@@ -148,6 +148,22 @@ class TestRunToEquilibrium:
                                                 stats.fixed_point_rounds]
 
 
+class TestPinnedDecisions:
+    # move counts (accepted, mover and rescale rejections, steps settled by the
+    # kernel's bound, fixed-point rounds) frozen from a run of this code. All five
+    # were the same under numpy's AVX-512, AVX2 and SSE4.2 targets, whose states
+    # differ in the last bits; a change that moves one changes a walker decision.
+    def test_benchmark_small_batch_size(self):
+        ens = WalkerEnsemble.uniform(200, 1.2e6, 150.0, 0.03, 1.0, seed=8)
+        ens.run_to_equilibrium(2000, 50, 5)
+        assert ens.move_counts.tolist() == [439809, 169, 222, 1992, 453]
+
+    def test_reference_size_short_run(self):
+        ens = WalkerEnsemble.uniform(1000, 6e6, 150.0, 0.03, 1.0, seed=7)
+        ens.run(1500)
+        assert ens.move_counts.tolist() == [1499830, 64, 106, 1435, 171]
+
+
 class TestScaleInvarianceCorr:
     def test_constructed_positive_control(self):
         # velocities whose squares reproduce the levels exactly: corr = 1
