@@ -150,12 +150,10 @@ def cmd_diffuse(args, out: Path):
     else:
         net = network.generate_sfin(args.nodes, args.max_degree, args.seed,
                                     args.min_degree)
-    labels, comps = network._component_labels(net)  # labelled once for the warning and the pool
-    if comps.size > 1:
-        shown = ", ".join(str(int(c)) for c in np.sort(comps)[::-1][:6])
-        print(f"warning: graph has {comps.size} components (sizes {shown}...); "
-              "seeds restricted to the largest", file=sys.stderr)
-    pool = np.nonzero(labels == np.argmax(comps))[0]
+    pool = network.largest_component_nodes(net)
+    if pool.size < net.node_count:
+        print("warning: graph is not connected; seeds restricted to its largest component "
+              f"({pool.size} of {net.node_count} nodes)", file=sys.stderr)
     rng = np.random.Generator(np.random.Philox([args.seed, 1]))
     seeds = rng.choice(pool, size=args.processes, replace=True)
     sizes = network.grow_cluster(net, seeds)
@@ -230,15 +228,12 @@ def cmd_forecast(args, out: Path):
 
 def cmd_itm(args, out: Path):
     coupling = io.read_matrix(args.matrix)
-    try:
-        x0 = np.asarray([float(v) for v in args.initial.split(",")], dtype=float)
-    except ValueError as exc:
-        raise InputDataError(f"bad --initial value: {args.initial!r}") from exc
+    x0 = np.asarray(args.initial)
     # closed_form's cross-check of a diagonal K needs positive populations: checked
     # here, before any work, so a zero entry is rejected whatever K is
     if not np.all((x0 > 0.0) & (x0 < np.inf)):
         raise InputDataError(f"--initial entries must be finite and positive: {args.initial!r}")
-    total = args.total if args.total is not None else float(x0.sum())
+    total = float(x0.sum())
     chi0 = itm.to_amplitude(x0, total)
     traj = itm.itm_evolve(chi0, coupling, args.t_end, args.dt)
 
@@ -276,7 +271,7 @@ def cmd_itm(args, out: Path):
 
 
 def _number_list(text: str) -> list:
-    """Parse ``--density-times``: numbers separated by commas."""
+    """Parse ``--initial`` and ``--density-times``: numbers separated by commas."""
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
@@ -341,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("itm", help="evolve the amplitude flow for a rate matrix")
     p.add_argument("--matrix", required=True, help="dense CSV rate matrix")
-    p.add_argument("--initial", required=True, help="comma-separated populations")
-    p.add_argument("--total", type=float, default=None)
+    p.add_argument("--initial", type=_number_list, required=True,
+                   help="comma-separated populations; their sum is the total")
     p.add_argument("--t-end", type=float, default=5.0,
                    help="end time; must be a whole number of --dt steps")
     p.add_argument("--dt", type=float, default=1e-3)
@@ -361,7 +356,7 @@ def main(argv=None) -> int:
         args.func(args, out)
         # the output path carries no provenance (it is where the manifest lives)
         config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
-        io.write_manifest(out / "manifest.json", args.command, config, config.get("seed"))
+        io.write_manifest(out / "manifest.json", args.command, config)
     except (InputDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,7 +130,7 @@ def _numbered_rows(path):
     return rows
 
 
-def write_manifest(path, command, config, seed=None):
+def write_manifest(path, command, config):
     import scipy
 
     from . import __version__
@@ -138,7 +138,7 @@ def write_manifest(path, command, config, seed=None):
     payload = {
         "command": command,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed"),
         "versions": {
             "multilogistic": __version__,
             "numpy": np.__version__,

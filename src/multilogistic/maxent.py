@@ -152,7 +152,8 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     Solves exp(-z)/(z * Gamma(0, z)) = total/(n*x0) with Brent's method on
     the logarithm of both sides; the residual is below 1e-10 relative. The
     ratio total/(n*x0) must exceed 1; as it approaches 1 the constant
-    diverges and the solver reports the cap.
+    diverges. The domain is z in [1e-12, 700]: a root outside it is
+    reported as below the bracket or beyond the cap.
     """
     from scipy.optimize import brentq
 
@@ -173,11 +174,11 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
             "mean too far above the floor: decay constant below the bracket"
         )
     while phi(hi) > ratio:
-        hi *= 2.0
-        if hi > _Z_CAP:
+        if hi == _Z_CAP:
             raise NumericsError(
                 "mean too close to the floor: decay constant beyond the cap"
             )
+        hi = min(2.0 * hi, _Z_CAP)
     log_ratio = math.log(ratio)
     z = brentq(lambda z: math.log(phi(z)) - log_ratio, lo, hi,
                xtol=1e-300, rtol=4.0 * np.finfo(float).eps, disp=False)

@@ -366,10 +366,14 @@ class TestNetworkCommands:
         procs = io.read_processes(out / "processes.csv")
         assert len(procs) == 60
 
-    def test_diffuse_processes_pinned(self, tmp_path):
+    def test_diffuse_processes_pinned(self, tmp_path, capsys):
         # integers only (Philox seed draws, BFS layer sizes), so no libm dependence
         out = tmp_path / "d"
         assert main(["diffuse", *NETWORK_SMALL, "--processes", "40", "--out", str(out)]) == 0
+        # the graph is not connected: the seeds come from its largest component
+        assert capsys.readouterr().err == (
+            "warning: graph is not connected; seeds restricted to its largest component "
+            "(490 of 500 nodes)\n")
         digest = hashlib.sha256((out / "processes.csv").read_bytes()).hexdigest()
         assert digest == "33f9ae606ecff51c98f9650a3a5c298220211a70d847b10ee6bcd4135d373ee6"
 
@@ -510,6 +514,11 @@ class TestItmCommand:
         assert rep["equivalence_pass"] == "1"
         assert float(rep["equivalence_max_rel_error"]) < 1e-6
         assert float(rep["norm_max_error"]) <= 1e-10
+        # the total is the sum of --initial, so the manifest records no other
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["initial"] == [50.0, 30.0, 20.0]
+        assert "total" not in manifest["config"]
+        assert manifest["seed"] is None
 
     def test_scalar_matrix_constant_trajectory(self, tmp_path):
         m = tmp_path / "k.csv"
@@ -738,16 +747,22 @@ class TestBadInput:
         assert not out.exists() or not any(out.iterdir())
         assert shares.read_bytes() == shares_bytes
 
-    def test_density_times_must_be_numbers(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, option", [
+        (["diffuse", *NETWORK_SMALL, "--density-times", "1,x"], "--density-times"),
+        (["itm", "--matrix", "k.csv", "--initial", "50,x"], "--initial"),
+    ], ids=["density-times", "initial"])
+    def test_number_lists_must_be_numbers(self, tmp_path, capsys, argv, option):
         # argparse rejects the list itself, naming the option and what it expects
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["diffuse", *NETWORK_SMALL, "--density-times", "1,x", "--out", str(out)])
+            main([*argv, "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--density-times" in err and "comma-separated numbers" in err
+        assert option in err and "comma-separated numbers" in err
         assert "<lambda>" not in err
         assert not out.exists()
+
+    def test_density_times_parsed(self):
         args = build_parser().parse_args(["diffuse", "--seed", "1", "--density-times", "1,2.5"])
         assert args.density_times == [1.0, 2.5]
 
@@ -767,7 +782,7 @@ SWEEP = {
     "forecast": (["forecast", "--input", "{shares}", "--reference", "explorer",
                   "--epoch", "2012-03", "--horizon", "3"], ["--horizon", "--n-prime-factor"]),
     "itm": (["itm", "--matrix", "{matrix}", "--initial", "50,50", "--t-end", "0.1",
-             "--dt", "0.01"], ["--total", "--t-end", "--dt"]),
+             "--dt", "0.01"], ["--initial", "--t-end", "--dt"]),
 }
 
 

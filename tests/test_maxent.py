@@ -156,6 +156,17 @@ class TestSolveLambda:
         with pytest.raises((NumericsError, InputDataError)):
             solve_lambda(1000.0 * 150.0 * (1.0 + 1e-9), 1000, 150.0)
 
+    @pytest.mark.parametrize("lam", [513.0, 600.0, 699.0])
+    def test_round_trip_up_to_the_cap(self, lam):
+        # roots between the last doubling (512) and the cap (700) are solved
+        total = 1000 * mean_population_from(lam, 150.0)
+        assert solve_lambda(total, 1000, 150.0).lam == pytest.approx(lam, rel=1e-12)
+
+    def test_mean_near_floor_reports_cap(self):
+        # ratio 1.001 has its root above z = 700
+        with pytest.raises(NumericsError, match="beyond the cap"):
+            solve_lambda(1000 * 150.0 * 1.001, 1000, 150.0)
+
     def test_mean_far_above_floor_reports_bracket(self):
         # the root lies below the solver's bracket at z = 1e-12
         with pytest.raises(NumericsError, match="below the bracket"):
