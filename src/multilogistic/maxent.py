@@ -138,25 +138,33 @@ class MaxEntModel:
 
 
 def mean_population_from(lam: float, x0: float) -> float:
-    """Mean of the equilibrium density for a given decay constant and floor."""
+    """Mean of the equilibrium density for a given decay constant and floor.
+
+    ``lam`` must be positive and at most 700; beyond that exp(-lam) and
+    Gamma(0, lam) leave the normal double range (``NumericsError``).
+    """
     from scipy.special import exp1
 
     if not lam > 0.0:
         raise InputDataError("the decay constant must be positive")
+    if lam > _Z_CAP:
+        raise NumericsError(f"decay constant {lam:.6g} beyond the cap {_Z_CAP:g}")
     return x0 * math.exp(-lam) / (lam * float(exp1(lam)))
 
 
 def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
     """Determine the decay constant from the mean-value constraint.
 
-    Solves exp(-z)/(z * Gamma(0, z)) = total/(n*x0) with Brent's method on
-    the logarithm of both sides; the residual is below 1e-10 relative. The
-    ratio total/(n*x0) must exceed 1; as it approaches 1 the constant
-    diverges. The domain is z in [1e-12, 700]: a root outside it is
-    reported as below the bracket or beyond the cap.
+    Solves phi(z) = exp(-z)/(z * Gamma(0, z)) = total/(n*x0) by Newton steps
+    on h(w) = log phi(e^w) - log(total/(n*x0)) in w = log z, started at the
+    left end z = 1e-12; the residual is below 1e-10 relative. There h is
+    positive, falling and convex, with slope z(phi - 1) - 1, so each step
+    rises towards the root without passing it. The steps stop at the first
+    one that rises by at most 1e-16 max(|w|, 1). The ratio total/(n*x0)
+    must exceed 1; as it approaches 1 the constant diverges. The domain is
+    z in [1e-12, 700]: a root outside it is reported as below the bracket or
+    beyond the cap.
     """
-    from scipy.optimize import brentq
-
     if not (total > 0.0 and x0 > 0.0 and n >= 1):
         raise InputDataError("need total > 0, x0 > 0, n >= 1")
     ratio = total / (n * x0)
@@ -164,25 +172,27 @@ def solve_lambda(total: float, n: int, x0: float) -> MaxEntModel:
         raise InputDataError(
             f"mean population {total / n:.6g} must exceed the floor {x0:.6g}"
         )
-
-    def phi(z: float) -> float:
-        return mean_population_from(z, 1.0)
-
-    lo, hi = 1e-12, 1.0
-    if not phi(lo) > ratio:
+    z = 1e-12
+    phi = mean_population_from(z, 1.0)
+    if not phi > ratio:
         raise NumericsError(
             "mean too far above the floor: decay constant below the bracket"
         )
-    while phi(hi) > ratio:
-        if hi == _Z_CAP:
-            raise NumericsError(
-                "mean too close to the floor: decay constant beyond the cap"
-            )
-        hi = min(2.0 * hi, _Z_CAP)
-    log_ratio = math.log(ratio)
-    z = brentq(lambda z: math.log(phi(z)) - log_ratio, lo, hi,
-               xtol=1e-300, rtol=4.0 * np.finfo(float).eps, disp=False)
-    residual = abs(phi(z) - ratio)
+    if mean_population_from(_Z_CAP, 1.0) > ratio:
+        raise NumericsError(
+            "mean too close to the floor: decay constant beyond the cap"
+        )
+    log_ratio, w, w_cap = math.log(ratio), math.log(z), math.log(_Z_CAP)
+    for _ in range(100):
+        # the Newton step -h/h', with h' = z(phi - 1) - 1 < 0
+        w_new = min(w + (math.log(phi) - log_ratio) / (1.0 - z * (phi - 1.0)), w_cap)
+        if not w_new - w > 1e-16 * max(abs(w), 1.0):
+            break
+        w, z = w_new, math.exp(w_new)
+        phi = mean_population_from(z, 1.0)
+    else:
+        raise NumericsError(f"mean-value solve did not converge in 100 steps; last lam {z!r}")
+    residual = abs(phi - ratio)
     if residual > 1e-10 * ratio:
         raise NumericsError(f"mean-value solve stalled at residual {residual:.3e}")
     return MaxEntModel(z, x0, n)
@@ -318,6 +328,5 @@ def filter_populations(populations, x0: float, drop_top: int = 0):
     cut = x0 * (1.0 - 1e-9)
     below = int(np.sum(xs < cut))
     kept = xs[xs >= cut]
-    if drop_top > 0:
-        kept = kept[drop_top:]
-    return kept, below, min(drop_top, xs.size)
+    top = min(drop_top, kept.size)
+    return kept[top:], below, top

@@ -593,6 +593,25 @@ WALKERS_SMALL = ["walkers", "--seed", "5", "--n", "40", "--total", "240000",
 NETWORK_SMALL = ["--seed", "3", "--nodes", "500", "--max-degree", "20", "--processes", "10"]
 
 
+def test_walkers_and_rankfit_load_no_scipy_optimize(tmp_path):
+    # the mean-value solve and the rank-law fit are Newton loops of their own, so a
+    # fresh interpreter runs both subcommands without scipy.optimize or scipy.linalg
+    pops = tmp_path / "populations.csv"
+    io.write_table(pops, ["population"],
+                   [150.0 * np.exp(np.random.default_rng(1).exponential(2.0, 300))])
+    program = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(multilogistic.__file__).parent.parent)!r})",
+        "import multilogistic.cli as cli",
+        f"assert cli.main({[*WALKERS_SMALL, '--out', str(tmp_path / 'w')]!r}) == 0",
+        f"assert cli.main({['rankfit', '--input', str(pops), '--out', str(tmp_path / 'r')]!r}) == 0",
+        "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))",
+    ])
+    run = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv, word", [
         (WALKERS_SMALL + ["--seed", "-1"], "seed"),

@@ -156,11 +156,39 @@ class TestSolveLambda:
         with pytest.raises((NumericsError, InputDataError)):
             solve_lambda(1000.0 * 150.0 * (1.0 + 1e-9), 1000, 150.0)
 
-    @pytest.mark.parametrize("lam", [513.0, 600.0, 699.0])
-    def test_round_trip_up_to_the_cap(self, lam):
-        # roots between the last doubling (512) and the cap (700) are solved
-        total = 1000 * mean_population_from(lam, 150.0)
-        assert solve_lambda(total, 1000, 150.0).lam == pytest.approx(lam, rel=1e-12)
+    def test_round_trip_up_to_the_cap(self, monkeypatch):
+        # 3000 roots from the bracket's end up to just below the cap (700):
+        # Newton in log lambda from z = 1e-12 lands on each within 1e-12,
+        # leaves a residual of at most 1e-14 and evaluates phi at most 20 times
+        lams = np.geomspace(1e-11, 699.9, 3000)
+        totals = [1000 * mean_population_from(lam, 150.0) for lam in lams]
+        calls = []
+
+        def counted(lam, x0):
+            calls.append(lam)
+            return mean_population_from(lam, x0)
+
+        monkeypatch.setattr(maxent, "mean_population_from", counted)
+        solved, evaluations = [], []
+        for total in totals:
+            calls.clear()
+            solved.append(solve_lambda(total, 1000, 150.0).lam)
+            evaluations.append(len(calls))
+        monkeypatch.undo()
+        solved = np.array(solved)
+        ratios = np.array(totals) / (1000 * 150.0)
+        phis = np.array([mean_population_from(lam, 1.0) for lam in solved])
+        assert np.all(np.abs(solved / lams - 1.0) <= 1e-12)
+        assert np.all(np.abs(phis / ratios - 1.0) <= 1e-14)
+        assert max(evaluations) <= 20
+
+    def test_mean_above_the_cap_names_it(self):
+        # beyond 700 exp(-lam) and Gamma(0, lam) leave the normal double range;
+        # the Newton's top iterate, exp(log 700), stays inside the cap
+        assert mean_population_from(math.exp(math.log(700.0)), 150.0) > 150.0
+        for lam in (700.5, 745.0, 800.0):
+            with pytest.raises(NumericsError, match=r"^decay constant .* beyond the cap 700$"):
+                mean_population_from(lam, 150.0)
 
     def test_mean_near_floor_reports_cap(self):
         # ratio 1.001 has its root above z = 700
@@ -337,6 +365,10 @@ class TestHelpers:
         assert kept[0] == 5000.0
         assert np.all(kept >= 150.0)
         assert kept.size == 5
+        # the largest entries count as dropped from the top only if the floor kept them
+        kept, below, top = filter_populations(
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 200.0, 300.0]), 150.0, drop_top=4)
+        assert (kept.size, below, top) == (0, 8, 2)
 
     def test_rank_distribution_validation(self):
         with pytest.raises(InputDataError):
