@@ -156,7 +156,13 @@ class TestSolveLambda:
         with pytest.raises((NumericsError, InputDataError)):
             solve_lambda(1000.0 * 150.0 * (1.0 + 1e-9), 1000, 150.0)
 
-    def test_round_trip_up_to_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [513.0, 600.0, 699.0])
+    def test_round_trip_up_to_the_cap(self, lam):
+        # roots just below the cap (700) are solved to full precision
+        total = 1000 * mean_population_from(lam, 150.0)
+        assert solve_lambda(total, 1000, 150.0).lam == pytest.approx(lam, rel=1e-12)
+
+    def test_round_trip_sweep_up_to_the_cap(self, monkeypatch):
         # 3000 roots from the bracket's end up to just below the cap (700):
         # Newton in log lambda from z = 1e-12 lands on each within 1e-12,
         # leaves a residual of at most 1e-14 and evaluates phi at most 20 times
