@@ -44,9 +44,10 @@ def cmd_walkers(args, out: Path):
     ens = WalkerEnsemble.uniform(
         args.n, args.total, args.floor, args.dt, args.sigma, args.drift, args.seed
     )
-    stats = ens.run_to_equilibrium(args.burn_in, args.sample_every, args.samples)
+    # the law first: a total it cannot solve exits before the ensemble runs
     model = maxent.solve_lambda(args.total, args.n, args.floor)
-    analytic = maxent.analytic_rank(model, stats.rank_table.ranks)
+    analytic = maxent.analytic_rank(model, np.arange(1, args.n + 1.0))
+    stats = ens.run_to_equilibrium(args.burn_in, args.sample_every, args.samples)
     ks = maxent.ks_distance(stats.rank_table.populations, model)
 
     io.write_rank_table(out / "rank.csv", stats.rank_table, analytic)

@@ -365,9 +365,14 @@ def read_share_csv(path, epoch: str, renormalize: bool = False) -> ShareSeries:
         raise InputDataError(f"{path}: line {line}: bad row {row!r}") from exc
     if not parsed:
         raise InputDataError(f"{path}: no data rows")
-    order = np.argsort(times)
+    order = np.argsort(times, kind="stable")
     times = np.asarray(times, dtype=float)[order]
     shares = shares[order]
+    repeated = np.flatnonzero(np.diff(times) == 0.0)
+    if repeated.size:
+        (first, row), (second, _) = (parsed[i] for i in order[repeated[0]:repeated[0] + 2])
+        raise InputDataError(f"{path}: lines {first} and {second}: month {row[0].strip()!r} "
+                             "repeated; times must be strictly increasing")
     if renormalize:
         shares = shares * (_SHARE_TOTAL / shares.sum(axis=1, keepdims=True))
     return ShareSeries(components, times, shares, total=_SHARE_TOTAL)

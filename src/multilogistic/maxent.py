@@ -16,12 +16,15 @@ rate is ``lam / x0``. With this convention the mean-value constraint reads
 
 and the solved values for city-population data land in the 5e-3 range.
 
-Gamma(0, z) is scipy's compiled exponential integral ``scipy.special.exp1``;
-its inverse is a plain Newton iteration in w = log z that runs on whole
-arrays and needs no bracket. F(w) = Gamma(0, e^w) - g has F' = -exp(-z) < 0
-and F'' = z exp(-z) > 0, so every tangent of F lies below F: from a start
-left of the root each step stays left of it and rises towards it, and from
-a start right of it one step lands left of it.
+Gamma(0, z) is scipy's compiled exponential integral ``scipy.special.exp1``.
+The one equation inverted is the rank law Gamma(0, z) = (r/n) Gamma(0, lam),
+solved for the excess u = z - lam over the floor by a plain Newton iteration
+that runs on whole arrays and needs no bracket. In the scaled integral
+s(z) = e^z Gamma(0, z) it reads F(u) = u + log s(lam) - log s(lam + u) +
+log(r/n) = 0, which forms no Gamma value that could underflow, however
+large lam is. F is increasing and concave, so every tangent of F lies above
+F: one step from any start lands left of the root (clipped at u = 0), and
+the steps after it rise to the root without passing it.
 """
 
 import math
@@ -49,10 +52,6 @@ _EULER_GAMMA = 0.5772156649015328606065120900824024
 _Z_CAP = 700.0  # beyond this exp(-z) leaves the normal double range
 
 
-_Z_MIN = 1e-300  # floor of the inverse's domain: smaller roots are not solved
-_G_MAX = 690.1983122333121  # Gamma(0, _Z_MIN): larger g has its root below _Z_MIN
-
-
 def gamma0(z):
     """Order-zero upper incomplete gamma Gamma(0, z) = integral_z^inf e^-t / t dt.
 
@@ -67,55 +66,67 @@ def gamma0(z):
     return float(out) if arr.ndim == 0 else out
 
 
-def gamma0_inverse(g):
-    """Solve Gamma(0, z) = g for z > 0 (Newton in log z).
+def _scaled_gamma0(z):
+    """s(z) = e^z Gamma(0, z) for an array of z > 0.
 
-    Gamma(0, .) decreases monotonically from +inf to 0, so the inverse is
-    unique. Residual is driven below 1e-12 relative to ``g``. Accepts a
-    scalar (returns a float) or an array; every element is solved at once.
-    Newton needs no bracket: Gamma(0, e^w) is decreasing and convex in
-    w = log z, so one step from any start lands left of the root and the
-    steps after it rise to the root without passing it. An element whose
-    step moves z by at most 1e-15 relative (rounding) ends after that step.
+    Up to z = 700 both factors are normal doubles; above, s is the continued
+    fraction of A&S 5.1.22.
     """
     from scipy.special import exp1
 
-    arr = np.asarray(g, dtype=float)
-    if not np.all(arr > 0.0):
-        raise InputDataError("gamma0_inverse requires g > 0")
-    if np.any(arr < 1e-305):
-        raise NumericsError("gamma0_inverse argument underflows double precision")
-    if np.any(arr > _G_MAX):
-        raise NumericsError(
-            f"gamma0_inverse argument above {_G_MAX:.6g}: its root underflows "
-            "double precision"
-        )
-    gv = arr.ravel()
-    neglog = -np.log(gv)
-    # initial guess from the two asymptotic branches; for g <= 0.6 it is above 0.1
-    z = np.where(gv > 0.6, np.exp(-_EULER_GAMMA - gv),
-                 neglog - np.log(np.maximum(neglog, 1.5)))
+    low = np.minimum(z, _Z_CAP)
+    s = np.exp(low) * exp1(low)
+    high = z > _Z_CAP
+    if high.any():
+        s[high] = _scaled_gamma0_cf(z[high])
+    return s
 
-    out = np.empty(gv.shape)
-    todo = np.arange(gv.size)
-    for _ in range(200):
-        f = exp1(z) - gv
-        # Newton step in w = log z: dE1/dw = -exp(-z)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z_new = np.exp(np.log(z) + f / np.exp(-z))
-        converged = np.abs(f) <= 1e-12 * gv
-        stalled = ~converged & (np.abs(z_new - z) <= 1e-15 * z)
-        out[todo[converged]] = z[converged]
-        out[todo[stalled]] = z_new[stalled]
-        keep = ~(converged | stalled)
-        todo, gv, z = todo[keep], gv[keep], z_new[keep]
+
+def _scaled_gamma0_cf(z):
+    """s(z) = 1/(z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...))), 40 terms from the back."""
+    t = z + 79.0
+    for k in range(39, 0, -1):
+        t = z + (2 * k - 1) - k * k / t
+    return 1.0 / t
+
+
+def gamma0_inverse(fraction, lam):
+    """Solve the rank law Gamma(0, z) = fraction * Gamma(0, lam) for z >= lam.
+
+    ``fraction`` is a scalar (returns a float) or an array, each in (0, 1];
+    every element is solved at once, and a fraction of 1 gives lam. Newton
+    steps run on the excess u = z - lam, on
+    F(u) = u + log s(lam) - log s(lam + u) + log(fraction) with
+    s(z) = e^z Gamma(0, z), so no Gamma value is formed that could underflow.
+    F rises and is concave: F' = 1/(z s(z)), and s(z)(1 + z) > 1 (A&S
+    5.1.19). So every tangent lies above F, and after the first step, clipped
+    at u = 0, the steps rise to the root without passing it. The iterate is
+    kept as z = lam + u, so F is taken at the z returned. A point ends at
+    |F| <= 1e-12 or at the first step that does not move it; a solve still
+    open after 100 passes raises ``NumericsError``.
+    """
+    arr = np.asarray(fraction, dtype=float)
+    if not (np.all((arr > 0.0) & (arr <= 1.0)) and lam > 0.0):
+        raise InputDataError("gamma0_inverse requires 0 < fraction <= 1 and lam > 0")
+    # F(u) = u - log s(lam + u) + c, with c = log(fraction) + log s(lam)
+    c = np.log(arr.ravel()) + math.log(_scaled_gamma0(np.array([lam]))[0])
+    # start from the two asymptotic branches of Gamma(0, z) = g, -log g = lam - c
+    neglog = lam - c
+    z = np.maximum(np.where(neglog < -math.log(0.6), np.exp(-_EULER_GAMMA - np.exp(-neglog)),
+                            neglog - np.log(np.maximum(neglog, 1.5))), lam)
+    out = np.empty(c.shape)
+    todo = np.arange(c.size)
+    for _ in range(100):
+        s = _scaled_gamma0(z)
+        f = z - lam - np.log(s) + c
+        z_new = np.maximum(z - f * z * s, lam)  # the Newton step -F/F', clipped at u = 0
+        done = (np.abs(f) <= 1e-12) | (z_new == z)
+        out[todo[done]] = z[done]
+        todo, c, z = todo[~done], c[~done], z_new[~done]
         if not todo.size:
             break
     else:
-        raise NumericsError(
-            f"gamma0_inverse failed to converge for {gv.size} value(s), "
-            f"g={gv[:5].tolist()!r}"
-        )
+        raise NumericsError(f"gamma0_inverse did not converge for {c.size} value(s) at lam {lam!r}")
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -204,14 +215,11 @@ def analytic_rank(model: MaxEntModel, r):
     r = n lands exactly on the floor; small ranks give the large-population
     head, which diverges logarithmically as r -> 0 (r <= 0 is rejected).
     """
-    from scipy.special import exp1
-
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr > model.n):
         raise InputDataError("rank must lie in (0, n]")
-    g0 = float(exp1(model.lam))
     scale = model.x0 / model.lam
-    return scale * gamma0_inverse(g0 * r_arr / model.n)
+    return scale * gamma0_inverse(r_arr / model.n, model.lam)
 
 
 def population_cdf(model: MaxEntModel, x):
@@ -268,7 +276,8 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     the decades-spanning head and the flat tail on equal footing. The fit is
     a bracketed Newton iteration in theta = log lam on the stationarity
     condition G = sum_k res_k J_k = 0, started at the solved lam; the
-    standard error is taken at the returned lam.
+    standard error is taken at the returned lam. A fit that ends at the cap
+    (700) with G < 0 has its minimum beyond it (``NumericsError``).
     """
     pops = data.populations
     if len(data) < 10:
@@ -306,6 +315,8 @@ def fit_lambda(data: RankDistribution, x0: float) -> tuple[float, float]:
     else:
         raise NumericsError("rank-law fit did not converge in 100 Newton steps; "
                             f"last lam {lam!r}, G {grad:.3g}")
+    if grad < 0.0 and math.log(_Z_CAP) - theta <= tol:  # stopped at the top of its bracket
+        raise NumericsError(f"rank-law fit: minimum beyond the cap {_Z_CAP:g} (G {grad:.3g} there)")
     if not curvature > 0.0:
         raise NumericsError(f"rank-law fit ended off a minimum (curvature {curvature:.3g})")
     s2 = float(res @ res) / max(n - 1, 1)

@@ -25,7 +25,6 @@ from multilogistic.maxent import (
     RankDistribution,
     analytic_rank,
     fit_lambda,
-    gamma0,
     gamma0_inverse,
     solve_lambda,
 )
@@ -95,7 +94,7 @@ def test_rank_fit_scale_equivariant():
     # the floor by 4 scales the model exactly, and the fit's lam and standard
     # error are taken at the same stationary point
     u = np.random.default_rng(26).uniform(size=800)
-    pops = 150.0 / 0.01 * gamma0_inverse(gamma0(0.01) * u)
+    pops = 150.0 / 0.01 * gamma0_inverse(u, 0.01)
     lam, stderr = fit_lambda(RankDistribution.from_sample(pops), 150.0)
     lam4, stderr4 = fit_lambda(RankDistribution.from_sample(4.0 * pops), 600.0)
     assert lam4 == pytest.approx(lam, rel=2e-15, abs=0.0)

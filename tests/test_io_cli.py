@@ -15,7 +15,8 @@ from multilogistic import io, itm, network
 from multilogistic.cli import build_parser, main
 from multilogistic.core import closed_form
 from multilogistic.errors import InputDataError
-from multilogistic.maxent import analytic_rank, solve_lambda
+from multilogistic.maxent import analytic_rank, gamma0_inverse, solve_lambda
+from multilogistic.walkers import WalkerEnsemble
 
 
 # the UTF-8 byte-order mark that spreadsheets write at the start of a "CSV UTF-8" export
@@ -276,6 +277,28 @@ class TestWalkersCommand:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_rank_law_near_the_cap(self, tmp_path):
+        # a mean 0.14 % above the floor solves to lambda 695, where Gamma(0, lambda) r/n
+        # is below the smallest double at rank 1: the rank law is solved in the excess
+        out = tmp_path / "out"
+        assert main(["walkers", "--seed", "1", "--n", "10", "--total", "1502.155",
+                     "--burn-in", "2000", "--out", str(out)]) == 0
+        assert float(read_report(out / "diagnostics.csv")["lambda_analytic"]) > 692.0
+        analytic = np.loadtxt(out / "rank.csv", delimiter=",", skiprows=1, usecols=2)
+        assert np.all(np.isfinite(analytic)) and np.all(analytic >= 150.0)
+
+    def test_law_beyond_the_cap_exits_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the ensemble ran before the law was solved")
+
+        monkeypatch.setattr(WalkerEnsemble, "run_to_equilibrium", refuse)
+        out = tmp_path / "out"
+        assert main(["walkers", "--seed", "1", "--n", "10", "--total", "1500.2",
+                     "--burn-in", "20000", "--out", str(out)]) == 3
+        assert "beyond the cap" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestRankfitCommand:
     def test_synthetic_rank_data_recovers_lambda(self, tmp_path):
@@ -289,6 +312,19 @@ class TestRankfitCommand:
         rep = read_report(out / "report.csv")
         assert float(rep["lambda_fit"]) == pytest.approx(model.lam, rel=1e-6)
         assert int(rep["dropped_below_floor"]) == 0
+
+    def test_minimum_beyond_the_cap_exits_3(self, tmp_path, capsys):
+        # 1000 draws of the law at lambda 694 (solved lambda 696.5): the fit's
+        # stationarity condition G is still negative at the cap of 700
+        u = 1.0 - np.random.default_rng(1200).random(1000)
+        src = tmp_path / "pops.csv"
+        write_population_csv(src, 150.0 / 694.0 * gamma0_inverse(u, 694.0))
+        out = tmp_path / "fit"
+        assert main(["rankfit", "--input", str(src), "--drop-top", "0",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "beyond the cap 700" in err
+        assert not any(out.iterdir())
 
     def test_filters_reported(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -672,6 +708,9 @@ class TestBadInput:
         (["forecast", "--input", "{shares_nan_then_malformed}", "--reference", "explorer",
           "--epoch", "2012-03"],
          "shares_nan_then_malformed.csv: line 3: shares must be positive"),
+        # a month given twice is named with both of its lines
+        (["forecast", "--input", "{shares_repeated}", "--reference", "a", "--epoch", "2012-01"],
+         "shares_repeated.csv: lines 2 and 3: month '2012-01' repeated"),
         # the shares are valid: the scaled total overflows or is subnormal
         *[(["forecast", "--input", "{shares}", "--reference", "explorer", "--epoch", "2012-03",
             "--n-prime-factor", factor], "n_prime_factor") for factor in ("inf", "1e307", "5e-324")],
@@ -700,7 +739,7 @@ class TestBadInput:
             "diffuse-edges-header-only", "diffuse-edges-non-integer",
             "diffuse-edges-underscore", "diffuse-edges-quoted", "forecast-epoch-month",
             "forecast-epoch-text", "forecast-horizon-negative", "forecast-share-nan",
-            "forecast-share-inf", "forecast-share-nan-then-malformed",
+            "forecast-share-inf", "forecast-share-nan-then-malformed", "forecast-month-repeated",
             "forecast-n-prime-factor-inf",
             "forecast-n-prime-factor-huge", "forecast-n-prime-factor-subnormal", "out-existing-file",
             "rankfit-input-directory", "forecast-input-directory", "itm-matrix-directory",
@@ -742,6 +781,8 @@ class TestBadInput:
         (tmp_path / "shares_nan_then_malformed.csv").write_text(
             "".join([header, first, ",".join([date, "nan", *others]), "2012-xx,1,2,3\n",
                      *rest[1:]]))
+        shares_repeated = tmp_path / "shares_repeated.csv"
+        shares_repeated.write_text("date,a,b\n2012-01,50,50\n2012-01,40,60\n2012-02,45,55\n")
         # 0x80, in the first line, cannot start a UTF-8 character
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\x7fELF" + bytes(range(256)))
@@ -754,6 +795,7 @@ class TestBadInput:
                          shares_nan=tmp_path / "shares_nan.csv",
                          shares_inf=tmp_path / "shares_inf.csv",
                          shares_nan_then_malformed=tmp_path / "shares_nan_then_malformed.csv",
+                         shares_repeated=shares_repeated,
                          directory=tmp_path, missing=tmp_path / "missing.csv", binary=binary)
                 for a in argv]
         out = tmp_path / "out"

@@ -73,65 +73,95 @@ class TestGamma0:
                 gamma0(np.array([0.5, bad, 2.0]))
 
 
+def _scaled_gamma0_oracle(z):
+    # e^z Gamma(0, z) from exp1 up to 700, where both factors are normal doubles;
+    # above, 25 terms of the asymptotic series sum_k (-1)^k k! / z^(k+1), whose
+    # truncation error is below 25! / 700^26
+    from scipy.special import exp1
+
+    z = np.asarray(z, dtype=float)
+    low, high = np.minimum(z, 700.0), np.maximum(z, 700.0)
+    term, series = np.ones_like(z), np.zeros_like(z)
+    for k in range(25):
+        series += term
+        term = term * -(k + 1) / high
+    return np.where(z > 700.0, series / high, np.exp(low) * exp1(low))
+
+
 class TestGamma0Inverse:
     def test_round_trip(self):
         for z in [0.01, 1.0, 10.0]:
-            assert gamma0_inverse(gamma0(z)) == pytest.approx(z, rel=1e-9)
+            assert gamma0_inverse(gamma0(z) / gamma0(1e-3), 1e-3) == pytest.approx(z, rel=1e-9)
 
     def test_round_trip_wide(self):
         for z in np.geomspace(1e-6, 300.0, 40):
-            assert gamma0_inverse(gamma0(z)) == pytest.approx(z, rel=1e-8)
+            assert gamma0_inverse(gamma0(z) / gamma0(1e-6), 1e-6) == pytest.approx(z, rel=1e-8)
 
     def test_inverse_of_oracle_value(self):
-        assert gamma0_inverse(0.219383934395520274) == pytest.approx(1.0, rel=1e-9)
+        fraction = GAMMA0_ORACLE[1.0] / GAMMA0_ORACLE[0.01]
+        assert gamma0_inverse(fraction, 0.01) == pytest.approx(1.0, rel=1e-9)
 
-    def test_upper_limit_is_gamma0_of_domain_floor(self):
-        # the literal stands in for scipy's value, so importing maxent loads no scipy
-        from scipy.special import exp1
-
-        assert maxent._G_MAX == float(exp1(maxent._Z_MIN))
-        assert gamma0_inverse(maxent._G_MAX) == pytest.approx(maxent._Z_MIN, rel=1e-9)
-        with pytest.raises(NumericsError, match="underflows"):
-            gamma0_inverse(np.nextafter(maxent._G_MAX, np.inf))
+    def test_fraction_one_returns_lam(self):
+        for lam in (1e-12, 0.0054, 1.0, 699.9):
+            assert gamma0_inverse(1.0, lam) == lam
+            np.testing.assert_array_equal(gamma0_inverse(np.ones(3), lam), lam)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InputDataError):
-            gamma0_inverse(0.0)
-        for bad in (0.0, -1.0, np.nan):
+            gamma0_inverse(0.0, 1.0)
+        for bad in (0.0, -1.0, np.nan, np.nextafter(1.0, 2.0), 2.0):
             with pytest.raises(InputDataError):
-                gamma0_inverse(np.array([0.5, bad, 2.0]))
+                gamma0_inverse(np.array([0.5, bad, 1.0]), 1.0)
+        for lam in (0.0, -1.0, np.nan):
+            with pytest.raises(InputDataError):
+                gamma0_inverse(0.5, lam)
+
+    def test_continued_fraction_above_the_cap(self):
+        # the 40-term continued fraction, used above z = 700, against e^z Gamma(0, z)
+        # where that is still a product of normal doubles, and against the series above
+        for z in (650.0, 700.0):
+            cf = maxent._scaled_gamma0_cf(np.array([z]))[0]
+            assert abs(cf / (math.exp(z) * gamma0(z)) - 1.0) <= 4e-16
+        z = np.array([700.5, 720.0, 760.0])
+        assert np.all(np.abs(maxent._scaled_gamma0_cf(z) / _scaled_gamma0_oracle(z) - 1.0)
+                      <= 4e-16)
 
     @pytest.mark.filterwarnings("error")
     def test_newton_settles_over_the_whole_domain(self, monkeypatch):
-        # unbracketed Newton from the asymptotic start: no warning, the 1e-12
-        # residual everywhere, and at most 6 exp1 passes over the array
+        # the rank law Gamma(0, z) = (r/n) Gamma(0, lam) at every rank, from lam = 1e-12
+        # up to the cap: no warning, z >= lam, and at most 7 exp1 calls per solve,
+        # counting the one for lam. The residual is taken in the scaled form
+        # F = (z - lam) + log s(lam) - log s(z) + log(r/n), s(z) = e^z Gamma(0, z);
+        # it is at most 1e-12 up to the rounding of its four terms
         import scipy.special
 
         exp1 = scipy.special.exp1
-        passes = []
+        calls = []
 
         def counted(z):
-            passes.append(np.size(z))
+            calls.append(np.size(z))
             return exp1(z)
 
-        e = math.exp(-1.0)
-        g = np.concatenate((np.geomspace(1e-305, maxent._G_MAX, 2000),
-                            [exp1(1.0), np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]))
-        monkeypatch.setattr(scipy.special, "exp1", counted)
-        z = gamma0_inverse(g)
-        monkeypatch.undo()
-        assert np.all(np.abs(exp1(z) - g) <= 1e-12 * g)
-        assert 0 < len(passes) <= 6
+        eps = np.finfo(float).eps
+        for n in (10, 100000):
+            fractions = np.arange(1, n + 1.0) / n
+            for lam in (1e-12, 0.0054, 1.0, 300.0, 650.0, 692.0, 695.0, 699.0, 699.9):
+                calls.clear()
+                monkeypatch.setattr(scipy.special, "exp1", counted)
+                z = gamma0_inverse(fractions, lam)
+                monkeypatch.undo()
+                assert 0 < len(calls) <= 7, (n, lam, len(calls))
+                assert np.all(np.isfinite(z)) and np.all(z >= lam)
+                terms = np.stack([z - lam, np.full(n, math.log(_scaled_gamma0_oracle(lam))),
+                                  -np.log(_scaled_gamma0_oracle(z)), np.log(fractions)])
+                rounding = 4 * eps * np.abs(terms).sum(axis=0)
+                assert np.all(np.abs(terms.sum(axis=0)) <= 1e-12 + rounding), (n, lam)
 
     def test_range_error_messages(self):
-        with pytest.raises(InputDataError, match=r"^gamma0_inverse requires g > 0$"):
-            gamma0_inverse(-1.0)
-        with pytest.raises(NumericsError,
-                           match=r"^gamma0_inverse argument underflows double precision$"):
-            gamma0_inverse(np.array([0.5, 1e-306]))
-        with pytest.raises(NumericsError, match=r"^gamma0_inverse argument above 690\.198: "
-                                                r"its root underflows double precision$"):
-            gamma0_inverse(np.array([0.5, 691.0]))
+        message = r"^gamma0_inverse requires 0 < fraction <= 1 and lam > 0$"
+        for fraction, lam in ((-1.0, 1.0), (np.array([0.5, 1.5]), 1.0), (0.5, 0.0)):
+            with pytest.raises(InputDataError, match=message):
+                gamma0_inverse(fraction, lam)
 
 
 class TestSolveLambda:
@@ -263,8 +293,7 @@ class TestCdfAndKs:
     def test_iid_sample_small_distance(self):
         model = solve_lambda(REF_TOTAL, REF_N, REF_X0)
         rng = np.random.default_rng(42)
-        g0 = gamma0(model.lam)
-        xs = model.x0 / model.lam * gamma0_inverse(g0 * rng.uniform(size=1000))
+        xs = model.x0 / model.lam * gamma0_inverse(rng.uniform(size=1000), model.lam)
         assert ks_distance(xs, model) < 0.06
 
     def test_wrong_model_large_distance(self):
