@@ -306,18 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-top", type=int, default=4)
     p.set_defaults(func=cmd_rankfit)
 
-    p = sub.add_parser("sfin", help="generate a scale-free network (p(c) ~ 1/c)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=20000)
-    p.add_argument("--max-degree", type=int, default=100)
-    p.add_argument("--min-degree", type=int, default=1)
+    graph = argparse.ArgumentParser(add_help=False)  # the options of generate_sfin
+    graph.add_argument("--seed", type=int, required=True)
+    graph.add_argument("--nodes", type=int, default=20000)
+    graph.add_argument("--max-degree", type=int, default=100)
+    graph.add_argument("--min-degree", type=int, default=1)
+
+    p = sub.add_parser("sfin", parents=[graph], help="generate a scale-free network (p(c) ~ 1/c)")
     p.set_defaults(func=cmd_sfin)
 
-    p = sub.add_parser("diffuse", help="cluster-growth ensemble and kernel fit")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=20000)
-    p.add_argument("--max-degree", type=int, default=100)
-    p.add_argument("--min-degree", type=int, default=1)
+    p = sub.add_parser("diffuse", parents=[graph], help="cluster-growth ensemble and kernel fit")
     p.add_argument("--processes", type=int, default=500)
     p.add_argument("--edges", default=None, help="load this edge CSV instead of generating")
     p.add_argument("--density-times", type=_number_list, default=[1.0, 3.0, 6.0])

@@ -253,6 +253,18 @@ def amplitude_evolve(traj, lam, q, dt):
 # ---------------------------------------------------------------------------
 
 
+def _csgraph(indptr, indices):
+    """The CSR ``(indptr, indices)`` as the float64 csgraph scipy reads.
+
+    scipy's traversals read only ``indptr`` and ``indices``, so the data is a
+    read-only stride-0 view of one 1.0: no per-edge array is allocated.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = indptr.shape[0] - 1
+    return csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
+
+
 def bfs_layer_sizes(indptr, indices, seed):
     """Cumulative node counts within distance 0, 1, 2, ... of ``seed``.
 
@@ -263,27 +275,19 @@ def bfs_layer_sizes(indptr, indices, seed):
 
     The traversal is scipy's compiled FIFO breadth-first order. In that order
     each layer follows the one before, and the children of a node follow the
-    children of every node dequeued before it, so the parents' positions
-    along ``order[1:]`` never decrease: the layer after the one ending at
-    position ``end`` ends after the last node whose parent sits before
-    ``end``. Unreachable nodes never enter ``order``.
-
-    The traversal reads only ``indptr`` and ``indices``, so the CSR it is
-    handed carries a read-only stride-0 view of one 1.0 as its data: a call
-    allocates no per-edge data array.
+    children of every node dequeued before it, so the children of the first
+    ``size`` nodes of ``order`` fill positions 1 .. ``ends[size - 1]``, where
+    ``ends`` is the running sum of child counts along ``order``: the layer
+    after the one ending at ``size`` ends at ``1 + ends[size - 1]``.
+    Unreachable nodes never enter ``order``.
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    n = indptr.shape[0] - 1
-    graph = csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
     # the graph is symmetric; directed=False would build the transpose union
-    order, parent = breadth_first_order(graph, int(seed), directed=True,
+    order, parent = breadth_first_order(_csgraph(indptr, indices), int(seed), directed=True,
                                         return_predecessors=True)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(order.size)
-    parent_position = position[parent[order[1:]]]
+    ends = np.bincount(parent[parent >= 0], minlength=parent.size)[order].cumsum()
     sizes = [1]
     while sizes[-1] < order.size:
-        sizes.append(1 + int(np.searchsorted(parent_position, sizes[-1])))
+        sizes.append(1 + int(ends[sizes[-1] - 1]))
     return np.array(sizes, dtype=np.int64)

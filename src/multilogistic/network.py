@@ -310,17 +310,13 @@ def degree_loglog_slope(net: Network) -> float:
 
 
 def _component_labels(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    # component label of every node, and the size of every component; csgraph
-    # reads float64 data, and a stride-0 view of 1.0 (as in the BFS kernel)
-    # spares a per-edge array and its float64 copy
-    from scipy.sparse import csr_matrix
+    # component label of every node, and the size of every component; the CSR
+    # is symmetric, so its strong components are its components, labelled
+    # without the transposed copy directed=False would build
     from scipy.sparse.csgraph import connected_components
 
-    graph = csr_matrix(
-        (np.broadcast_to(1.0, net.indices.shape), net.indices, net.indptr),
-        shape=(net.node_count, net.node_count),
-    )
-    n_comp, labels = connected_components(graph, directed=False)
+    n_comp, labels = connected_components(kernels._csgraph(net.indptr, net.indices),
+                                          directed=True, connection="strong")
     return labels, np.bincount(labels, minlength=n_comp)
 
 
@@ -330,8 +326,9 @@ def connected_component_sizes(net: Network) -> np.ndarray:
 
 
 def largest_component_nodes(net: Network) -> np.ndarray:
+    """Nodes of the largest component; of equal largest, the one holding the smallest node."""
     labels, sizes = _component_labels(net)
-    return np.nonzero(labels == np.argmax(sizes))[0]
+    return np.nonzero(labels == labels[np.argmax(sizes[labels])])[0]
 
 
 # ---------------------------------------------------------------------------

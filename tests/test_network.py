@@ -293,9 +293,10 @@ class TestGrowCluster:
         assert grow_cluster(path_network(5), [0]).tolist() == [[1, 2, 3, 4, 5]]
 
     def test_matches_brute_force_distances(self):
-        # the second graph has degree-0 nodes and components the seed cannot reach
+        # the last two graphs have degree-0 nodes and components the seed cannot reach
         for net, starts in [(generate_sfin(300, 20, seed=9), [0, 17, 123]),
-                        (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7))]:
+                            (Network.from_edges(7, [[0, 1], [1, 2], [4, 5]]), range(7)),
+                            (Network.from_edges(8, [[4, 5], [5, 6], [0, 1], [1, 2]]), range(8))]:
             sizes = grow_cluster(net, starts)  # one batch, padded to its longest row
             assert sizes.shape[0] == len(starts)
             # independent oracle: set-based frontier expansion
@@ -358,6 +359,10 @@ class TestComponents:
         net = Network.from_edges(7, [[0, 1], [1, 2], [3, 4], [5, 6]])
         sizes = connected_component_sizes(net)
         assert sizes.tolist() == [3, 2, 2]
+        assert set(largest_component_nodes(net).tolist()) == {0, 1, 2}
+        # of two equal largest components, the one holding the smallest node
+        net = Network.from_edges(8, [[4, 5], [5, 6], [0, 1], [1, 2]])
+        assert connected_component_sizes(net).tolist() == [3, 3, 1, 1]
         assert set(largest_component_nodes(net).tolist()) == {0, 1, 2}
 
 
